@@ -71,12 +71,10 @@ def result_key(task: str, config: object) -> str:
     """Canonical cache-key string for a Lab task under a configuration.
 
     Keys by the projection of the configuration onto the fields the
-    task actually reads (see ``analysis.config.TASK_CONFIG_FIELDS``),
-    so a sweep over one predictor's sizing re-keys only that
-    predictor's bitmaps -- every other task's entries are shared across
-    grid points.  Unknown tasks project onto every field, which keeps
-    the old conservative behaviour for predictors without a
-    declaration.
+    task's :data:`~repro.analysis.config.TASKS` row declares (its build
+    can read no others), so a sweep over one predictor's sizing re-keys
+    only that predictor's bitmaps -- every other task's entries are
+    shared across grid points.  Unknown task names raise ``KeyError``.
     """
     from repro.analysis.config import task_config_key
 

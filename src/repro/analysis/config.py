@@ -18,25 +18,33 @@ with the trace:
 * The **selective history** window stays at the paper's n=16 (the oracle
   picks at most 3 branches, so no training-density issue arises).
 
-All sizes remain constructor arguments; this module only fixes the
-defaults the experiments use.
+All sizes remain constructor arguments; this module fixes the defaults
+the experiments use, and :data:`TASKS` declares which of them each lab
+task depends on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Optional
+import re
+from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.correlation.selection import SelectionConfig
+from repro.correlation.tagging import collect_correlation_data
 from repro.predictors.base import BranchPredictor
 from repro.predictors.interference_free import (
     InterferenceFreeGshare,
     InterferenceFreePAs,
 )
 from repro.predictors.loop import LoopPredictor
-from repro.predictors.pattern import BlockPatternPredictor
+from repro.predictors.pattern import (
+    BlockPatternPredictor,
+    best_fixed_length_correct,
+)
 from repro.predictors.static_ import IdealStaticPredictor
 from repro.predictors.twolevel import GsharePredictor, PAsPredictor
+from repro.trace.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -69,29 +77,6 @@ class LabConfig:
     selective_top_k: int = 12
     collection_window: int = 32
 
-    # -- factories ---------------------------------------------------------
-
-    def gshare(self) -> BranchPredictor:
-        return GsharePredictor(self.gshare_history_bits, self.gshare_pht_bits)
-
-    def if_gshare(self) -> BranchPredictor:
-        return InterferenceFreeGshare(self.if_gshare_history_bits)
-
-    def pas(self) -> BranchPredictor:
-        return PAsPredictor(self.pas_history_bits, self.pas_bht_bits)
-
-    def if_pas(self) -> BranchPredictor:
-        return InterferenceFreePAs(self.if_pas_history_bits)
-
-    def loop(self) -> BranchPredictor:
-        return LoopPredictor()
-
-    def block_pattern(self) -> BranchPredictor:
-        return BlockPatternPredictor()
-
-    def ideal_static(self) -> BranchPredictor:
-        return IdealStaticPredictor()
-
     def selection_config(self, window: Optional[int] = None) -> SelectionConfig:
         return SelectionConfig(
             window=self.selective_window if window is None else window,
@@ -102,42 +87,136 @@ class LabConfig:
 #: The configuration every experiment module uses unless told otherwise.
 DEFAULT_CONFIG = LabConfig()
 
+#: Task name of the tagged-correlation collection.
+CORRELATION_TASK = "correlation"
 
-#: Which LabConfig fields each simulation task's result depends on.
-#: Static predictors (loop, block, ideal_static, fixed_best) take no
-#: sizing at all, so their entries are empty: their bitmaps are valid
-#: under *every* configuration, which is what lets a sweep over, say,
-#: gshare_history_bits share their cache entries across grid points.
-TASK_CONFIG_FIELDS = {
-    "gshare": ("gshare_history_bits", "gshare_pht_bits"),
-    "if_gshare": ("if_gshare_history_bits",),
-    "pas": ("pas_history_bits", "pas_bht_bits"),
-    "if_pas": ("if_pas_history_bits",),
-    "loop": (),
-    "block": (),
-    "ideal_static": (),
-    "fixed_best": (),
-    "correlation": ("collection_window",),
+
+class _ConfigView:
+    """A :class:`LabConfig` seen through one task's declared fields.
+
+    Reading any other field raises, naming the task and the field: a
+    build that reads a field its row does not declare would otherwise
+    let two configurations differing only in that field share one cache
+    entry.
+    """
+
+    __slots__ = ("_task", "_config")
+
+    def __init__(self, task: "Task", config: LabConfig) -> None:
+        self._task = task
+        self._config = config
+
+    def __getattr__(self, name: str) -> Any:
+        if name not in self._task.fields:
+            raise RuntimeError(
+                f"task {self._task.name!r} read LabConfig.{name}, which its "
+                f"TASKS row does not declare (declared: "
+                f"{', '.join(self._task.fields) or 'none'})"
+            )
+        return getattr(self._config, name)
+
+
+@dataclass(frozen=True)
+class Task:
+    """One plannable lab task: everything the engine knows about it.
+
+    Attributes:
+        name: Task name (memo, plan and cache-key spelling).
+        fields: The :class:`LabConfig` fields the result depends on, in
+            cache-key order.  Static predictors take no sizing, so their
+            results are valid under *every* configuration -- which is
+            what lets a sweep over, say, ``gshare_history_bits`` share
+            their cache entries across grid points.
+        build: Called with a view of the config that exposes ``fields``
+            only; returns a fresh predictor, or a function of the whole
+            trace for the tasks that are not a predictor replay.
+        chunkable: Whether the predictor's kernel resumes from
+            written-back state, so a chunked fold is bit-identical to
+            the whole-trace run.
+    """
+
+    name: str
+    fields: Tuple[str, ...]
+    build: Callable[[Any], Any]
+    chunkable: bool = False
+
+    def make(self, config: LabConfig) -> Any:
+        """This task's predictor (or whole-trace function) under ``config``."""
+        return self.build(_ConfigView(self, config))
+
+    def run(self, trace: Trace, config: LabConfig) -> Any:
+        """The task's result on ``trace``: a bitmap, or correlation data."""
+        made = self.make(config)
+        if isinstance(made, BranchPredictor):
+            return made.simulate(trace)
+        return made(trace)
+
+
+#: Every plannable task, in deterministic fold order.  Adding a
+#: predictor to the lab is one row here.
+TASKS: Dict[str, Task] = {
+    task.name: task
+    for task in (
+        Task(
+            "gshare",
+            ("gshare_history_bits", "gshare_pht_bits"),
+            lambda c: GsharePredictor(c.gshare_history_bits, c.gshare_pht_bits),
+            chunkable=True,
+        ),
+        Task(
+            "if_gshare",
+            ("if_gshare_history_bits",),
+            lambda c: InterferenceFreeGshare(c.if_gshare_history_bits),
+            chunkable=True,
+        ),
+        Task(
+            "pas",
+            ("pas_history_bits", "pas_bht_bits"),
+            lambda c: PAsPredictor(c.pas_history_bits, c.pas_bht_bits),
+            chunkable=True,
+        ),
+        Task(
+            "if_pas",
+            ("if_pas_history_bits",),
+            lambda c: InterferenceFreePAs(c.if_pas_history_bits),
+            chunkable=True,
+        ),
+        Task("loop", (), lambda c: LoopPredictor(), chunkable=True),
+        Task("block", (), lambda c: BlockPatternPredictor(), chunkable=True),
+        # The whole-run baselines and the correlation collection are
+        # defined over the full trace, so they keep the unchunked path.
+        Task("ideal_static", (), lambda c: IdealStaticPredictor()),
+        Task("fixed_best", (), lambda c: best_fixed_length_correct),
+        Task(
+            CORRELATION_TASK,
+            ("collection_window",),
+            lambda c: partial(
+                collect_correlation_data, window=c.collection_window
+            ),
+        ),
+    )
 }
 
 #: Fields a ``selective_{count}_{window}`` task depends on (the window
 #: itself is part of the task name; the candidate pool and collection
 #: depth come from the config).
-_SELECTIVE_FIELDS = ("selective_top_k", "collection_window")
+SELECTIVE_FIELDS = ("selective_top_k", "collection_window")
+
+_SELECTIVE_NAME = re.compile(r"selective_\d+_\d+")
 
 
-def task_config_fields(task: str):
+def task_config_fields(task: str) -> Tuple[str, ...]:
     """The LabConfig fields ``task``'s result is a function of.
 
-    Unknown task names fall back to *every* field -- conservative, so a
-    predictor added without a projection entry can never alias another
-    configuration's cache entry.
+    Raises:
+        KeyError: ``task`` is neither a :data:`TASKS` row nor a
+            ``selective_{count}_{window}`` name.
     """
-    if task in TASK_CONFIG_FIELDS:
-        return TASK_CONFIG_FIELDS[task]
-    if task.startswith("selective_"):
-        return _SELECTIVE_FIELDS
-    return tuple(f.name for f in fields(LabConfig))
+    if task in TASKS:
+        return TASKS[task].fields
+    if _SELECTIVE_NAME.fullmatch(task):
+        return SELECTIVE_FIELDS
+    raise KeyError(f"unknown lab task {task!r}; choose from {', '.join(TASKS)}")
 
 
 def task_config_key(task: str, config: "LabConfig") -> str:

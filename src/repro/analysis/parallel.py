@@ -1,12 +1,14 @@
 """Parallel simulation scheduler with fault-tolerant supervision.
 
-A full report simulates seven predictors plus the best-of-32 fixed
-pattern sweep and the tagged-correlation collection over eight benchmark
-traces -- 72 independent ``(benchmark, task)`` jobs with no shared
-state.  This module fans them over a :class:`~concurrent.futures.\
-ProcessPoolExecutor` and folds the results back into each
-:class:`~repro.analysis.runner.Lab`'s memo dict, so downstream
-experiments see exactly the state a serial run would have produced.
+A full report computes every :data:`~repro.analysis.config.TASKS` row
+-- seven predictors plus the best-of-32 fixed pattern sweep and the
+tagged-correlation collection -- over eight benchmark traces: 72
+independent ``(benchmark, task)`` jobs with no shared state, each
+computed by :func:`compute_task`.  This module fans them over a
+:class:`~concurrent.futures.ProcessPoolExecutor` and folds the results
+back into each :class:`~repro.analysis.runner.Lab`'s memo dict, so
+downstream experiments see exactly the state a serial run would have
+produced.
 
 Determinism: every job is a pure function of ``(benchmark name, length,
 run seed, config, task)``; workers regenerate the trace from those
@@ -14,12 +16,12 @@ inputs (a per-process LRU plus the shared disk cache make this cheap)
 and the parent verifies the returned trace digest before folding, so
 completion order and worker scheduling cannot change any result.
 
-Streaming: with ``chunk_branches`` set, the causal tasks
-(:data:`~repro.analysis.streamed.CHUNKABLE_TASKS`) run as *chunk
-lanes* instead of whole-trace jobs -- each benchmark's columns are
-published once into :mod:`multiprocessing.shared_memory` and workers
-simulate fixed windows, resuming from the carried predictor state the
-previous chunk returned.  Nothing trace-length-proportional is ever
+Streaming: with ``chunk_branches`` set, the causal tasks (the rows
+marked ``chunkable``, :data:`~repro.analysis.streamed.CHUNKABLE_TASKS`)
+run as *chunk lanes* instead of whole-trace jobs -- each benchmark's
+columns are published once into :mod:`multiprocessing.shared_memory`
+and workers simulate fixed windows, resuming from the carried predictor
+state the previous chunk returned.  Nothing trace-length-proportional is ever
 pickled into a submission, and the folded bitmaps are bit-identical to
 the unchunked run (the PC011 contract check and the split-point
 property tests enforce it).
@@ -65,18 +67,19 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.cache import ResultCache, result_key
-from repro.analysis.config import LabConfig
-from repro.analysis.runner import Lab
-from repro.analysis.streamed import CHUNKABLE_TASKS, chunked_bitmap
-from repro.correlation.tagging import collect_correlation_data
+from repro.analysis.config import CORRELATION_TASK, TASKS, LabConfig
+from repro.analysis.streamed import (
+    CHUNKABLE_TASKS,
+    chunked_bitmap,
+    task_predictor,
+)
 from repro.obs.metrics import METRICS
 from repro.obs.tracing import TRACER, span
-from repro.predictors.pattern import best_fixed_length_correct
 from repro.resilience.faults import (
     HANG_SECONDS,
     FaultInjector,
@@ -87,38 +90,17 @@ from repro.resilience.retry import RetryPolicy, TaskFailure, TaskTimeout
 from repro.trace.stream import TraceStream, chunk_spans, normalize_chunk_branches
 from repro.trace.trace import Trace
 
+if TYPE_CHECKING:
+    from repro.analysis.runner import Lab
+
 #: Environment variable overriding the worker count.
 ENV_JOBS = "REPRO_JOBS"
-
-#: Pseudo-task name for the tagged-correlation collection.
-CORRELATION_TASK = "correlation"
 
 #: Supervisor poll interval while futures are in flight (seconds).
 _TICK = 0.05
 
 #: Tasks a full report needs, in deterministic fold order.
-DEFAULT_TASKS: Tuple[str, ...] = (
-    "gshare",
-    "if_gshare",
-    "pas",
-    "if_pas",
-    "loop",
-    "block",
-    "ideal_static",
-    "fixed_best",
-    CORRELATION_TASK,
-)
-
-#: Map task name -> LabConfig factory attribute (mirrors Lab._factories).
-_FACTORY_ATTRS: Dict[str, str] = {
-    "gshare": "gshare",
-    "if_gshare": "if_gshare",
-    "pas": "pas",
-    "if_pas": "if_pas",
-    "loop": "loop",
-    "block": "block_pattern",
-    "ideal_static": "ideal_static",
-}
+DEFAULT_TASKS: Tuple[str, ...] = tuple(TASKS)
 
 
 def default_jobs() -> int:
@@ -142,27 +124,21 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 def compute_task(trace: Trace, config: LabConfig, task: str):
     """Compute one task's result on a trace (the single source of truth).
 
-    Used by the serial priming path in-process and by
-    :func:`_run_task` inside workers, so both paths produce bit-identical
-    results and identical work-unit metrics (``sim.simulations`` /
+    Used by :class:`~repro.analysis.runner.Lab` on a memo/cache miss, by
+    the serial priming path in-process and by :func:`_run_task` inside
+    workers, so every path produces bit-identical results and identical
+    work-unit metrics (``sim.simulations`` /
     ``sim.correlation_collections``).
     """
+    row = TASKS[task]
     if task == CORRELATION_TASK:
         METRICS.inc("sim.correlation_collections")
-        with span(
-            "collect_correlation", length=len(trace)
-        ), METRICS.timer("sim.seconds"):
-            return collect_correlation_data(
-                trace, window=config.collection_window
-            )
-    METRICS.inc("sim.simulations")
-    with span(
-        "simulate", predictor=task, length=len(trace)
-    ), METRICS.timer("sim.seconds"):
-        if task == "fixed_best":
-            return best_fixed_length_correct(trace)
-        factory = getattr(config, _FACTORY_ATTRS[task])
-        return factory().simulate(trace)
+        name, attrs = "collect_correlation", {}
+    else:
+        METRICS.inc("sim.simulations")
+        name, attrs = "simulate", {"predictor": task}
+    with span(name, **attrs, length=len(trace)), METRICS.timer("sim.seconds"):
+        return row.run(trace, config)
 
 
 def _corrupt_result_entry(
@@ -283,7 +259,6 @@ def _run_chunk(job: tuple):
     """
     (shm_name, length, start, stop, config, task, state_blob) = job
     from repro.analysis.shm import attach_window
-    from repro.analysis.streamed import task_predictor
 
     METRICS.reset()
     TRACER.reset()

@@ -14,18 +14,22 @@ so a repeated run over unchanged traces performs no simulation at all.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.analysis.cache import ResultCache, result_key
-from repro.analysis.config import DEFAULT_CONFIG, LabConfig
+from repro.analysis.config import (
+    CORRELATION_TASK,
+    DEFAULT_CONFIG,
+    TASKS,
+    LabConfig,
+)
+from repro.analysis.parallel import compute_task
 from repro.correlation.selection import Selection, select_for_trace
-from repro.correlation.tagging import CorrelationData, collect_correlation_data
+from repro.correlation.tagging import CorrelationData
 from repro.obs.metrics import METRICS
 from repro.obs.tracing import span
-from repro.predictors.base import BranchPredictor
-from repro.predictors.pattern import best_fixed_length_correct
 from repro.predictors.selective import SelectiveHistoryPredictor
 from repro.trace.stats import TraceStatistics, compute_statistics
 from repro.trace.trace import Trace
@@ -55,15 +59,6 @@ class Lab:
         self._correlation_data: Optional[CorrelationData] = None
         self._selections: Dict[Tuple[int, int], Dict[int, Selection]] = {}
         self._stats: Optional[TraceStatistics] = None
-        self._factories: Dict[str, Callable[[], BranchPredictor]] = {
-            "gshare": config.gshare,
-            "if_gshare": config.if_gshare,
-            "pas": config.pas,
-            "if_pas": config.if_pas,
-            "loop": config.loop,
-            "block": config.block_pattern,
-            "ideal_static": config.ideal_static,
-        }
 
     # -- basic results ------------------------------------------------------
 
@@ -76,11 +71,11 @@ class Lab:
 
     def available_predictors(self) -> Tuple[str, ...]:
         """Names accepted by :meth:`correct` / :meth:`accuracy`."""
-        return tuple(self._factories) + ("fixed_best",)
+        return tuple(name for name in TASKS if name != CORRELATION_TASK)
 
     def is_primed(self, task: str) -> bool:
         """Whether a task's result is already memoised in this lab."""
-        if task == "correlation":
+        if task == CORRELATION_TASK:
             return self._correlation_data is not None
         return task in self._correct
 
@@ -91,7 +86,7 @@ class Lab:
         entry (quarantine handles corrupt ones).  Used when a folded
         result is discovered to be untrustworthy and must recompute.
         """
-        if task == "correlation":
+        if task == CORRELATION_TASK:
             had = self._correlation_data is not None
             self._correlation_data = None
             return had
@@ -138,20 +133,14 @@ class Lab:
         if cached is not None:
             METRICS.inc("sim.memo_hits")
             return cached
-        if name != "fixed_best" and name not in self._factories:
+        if name not in self.available_predictors():
             raise KeyError(
                 f"unknown predictor {name!r}; choose from "
                 f"{self.available_predictors()}"
             )
         bitmap = self._cached_bitmap(name)
         if bitmap is None:
-            METRICS.inc("sim.simulations")
-            with span("simulate", predictor=name, length=len(self.trace)), \
-                    METRICS.timer("sim.seconds"):
-                if name == "fixed_best":
-                    bitmap = best_fixed_length_correct(self.trace)
-                else:
-                    bitmap = self._factories[name]().simulate(self.trace)
+            bitmap = compute_task(self.trace, self.config, name)
             if self.cache is not None:
                 self.cache.store_bitmap(
                     self.trace.digest(), result_key(name, self.config), bitmap
@@ -178,13 +167,7 @@ class Lab:
                     self.trace.digest(), self.config.collection_window
                 )
             if data is None:
-                METRICS.inc("sim.correlation_collections")
-                with span(
-                    "collect_correlation", length=len(self.trace)
-                ), METRICS.timer("sim.seconds"):
-                    data = collect_correlation_data(
-                        self.trace, window=self.config.collection_window
-                    )
+                data = compute_task(self.trace, self.config, CORRELATION_TASK)
                 if self.cache is not None:
                     self.cache.store_correlation(self.trace.digest(), data)
             self._correlation_data = data

@@ -6,9 +6,10 @@ Two consumers:
   with ``chunk_branches`` set) folds the *causal* simulation tasks --
   the ones whose kernels carry their predictor state across
   ``simulate()`` calls -- window by window, in-process or across the
-  worker pool.  :data:`CHUNKABLE_TASKS` names them;
-  :func:`chunked_bitmap` is the in-process fold and the reference the
-  contract/property tests compare against.
+  worker pool.  :data:`CHUNKABLE_TASKS` names them, derived from the
+  ``chunkable`` flag of their :data:`~repro.analysis.config.TASKS`
+  rows; :func:`chunked_bitmap` is the in-process fold and the reference
+  the contract/property tests compare against.
 
 * :func:`stream_report` is the bounded-memory accuracy report behind
   ``benchmarks/check_rss.py`` and paper-scale runs: it never holds a
@@ -26,36 +27,25 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.config import LabConfig
+from repro.analysis.config import TASKS, LabConfig
 from repro.obs.metrics import METRICS
 from repro.sim.fold import fold_correct_count, fold_simulate
 from repro.trace.stream import TraceStream
 from repro.trace.trace import Trace
 
-#: Simulation tasks whose kernels resume from written-back state, so a
-#: chunked fold is bit-identical to the whole-trace run.  The whole-run
-#: baselines (``ideal_static``, ``fixed_best``) and the correlation
-#: collection are deliberately absent: they are defined over the full
-#: trace and keep the unchunked path.
-CHUNKABLE_TASKS: Tuple[str, ...] = (
-    "gshare",
-    "if_gshare",
-    "pas",
-    "if_pas",
-    "loop",
-    "block",
+#: Tasks whose :data:`~repro.analysis.config.TASKS` row is chunkable.
+CHUNKABLE_TASKS: Tuple[str, ...] = tuple(
+    name for name, task in TASKS.items() if task.chunkable
 )
 
 
 def task_predictor(config: LabConfig, task: str):
     """A fresh predictor instance for one chunkable task."""
-    from repro.analysis.parallel import _FACTORY_ATTRS
-
     if task not in CHUNKABLE_TASKS:
         raise ValueError(
             f"task {task!r} is not chunkable; choose from {CHUNKABLE_TASKS}"
         )
-    return getattr(config, _FACTORY_ATTRS[task])()
+    return TASKS[task].make(config)
 
 
 def chunked_bitmap(stream: TraceStream, config: LabConfig, task: str) -> np.ndarray:
@@ -154,12 +144,15 @@ def fixed_best_count(
     return correct, total
 
 
+#: Streaming folds of the whole-run static baselines, by task name.
+_WHOLE_RUN_FOLDS = {
+    "ideal_static": ideal_static_count,
+    "fixed_best": fixed_best_count,
+}
+
 #: Tasks :func:`stream_report` can fold in bounded memory, in report
 #: order: the causal kernels plus the two whole-run static baselines.
-STREAMABLE_TASKS: Tuple[str, ...] = CHUNKABLE_TASKS + (
-    "ideal_static",
-    "fixed_best",
-)
+STREAMABLE_TASKS: Tuple[str, ...] = CHUNKABLE_TASKS + tuple(_WHOLE_RUN_FOLDS)
 
 
 def stream_report(
@@ -179,10 +172,8 @@ def stream_report(
             correct, total = fold_correct_count(
                 task_predictor(config, task), stream.chunks()
             )
-        elif task == "ideal_static":
-            correct, total = ideal_static_count(stream.chunks())
-        elif task == "fixed_best":
-            correct, total = fixed_best_count(stream.chunks())
+        elif task in _WHOLE_RUN_FOLDS:
+            correct, total = _WHOLE_RUN_FOLDS[task](stream.chunks())
         else:
             raise ValueError(
                 f"task {task!r} is not streamable; choose from "

@@ -10,7 +10,7 @@ on real experiment data:
 
 ``repro.check.contracts``
     Introspects every :class:`~repro.predictors.base.BranchPredictor`
-    subclass and the ``repro.tools`` registry, and dynamically enforces
+    subclass and the ``repro.predictors`` registry, and dynamically enforces
     the trace-driven regime (state-pure ``predict``, exactly one
     ``update`` per branch, deterministic replay) through
     :class:`~repro.check.contracts.ContractCheckedPredictor`.
@@ -23,9 +23,8 @@ on real experiment data:
 ``repro.check.deps``
     Declaration soundness (DS codes): proves every experiment's
     ``@register(..., requires=)`` tuple matches the sim products its
-    runner actually consumes, and that the ``TASK_CONFIG_FIELDS``
-    cache-key projection covers exactly the :class:`LabConfig` fields
-    each task's factory and kernel read.
+    runner actually consumes, and names only plannable
+    :data:`~repro.analysis.config.TASKS`.
 
 ``repro.check.workers``
     Worker safety (WS codes): flags module-global mutation, unpicklable
@@ -57,11 +56,7 @@ from repro.check.ir import (
     verify_program,
     verify_program_or_raise,
 )
-from repro.check.deps import (
-    analyze_projections,
-    analyze_requires,
-    run_deps_pass,
-)
+from repro.check.deps import analyze_requires, run_deps_pass
 from repro.check.lint import lint_paths, lint_source
 from repro.check.workers import analyze_worker_safety
 
@@ -74,7 +69,6 @@ __all__ = [
     "INFO",
     "ProgramVerificationError",
     "WARNING",
-    "analyze_projections",
     "analyze_requires",
     "analyze_worker_safety",
     "check_determinism",

@@ -56,7 +56,7 @@ def run_contracts_pass(trace_length: int) -> List[Diagnostic]:
         check_registry,
         run_contract_suite,
     )
-    from repro.tools import PREDICTOR_REGISTRY
+    from repro.predictors import PREDICTOR_REGISTRY
     from repro.workloads.suite import load_benchmark
 
     diagnostics = check_predictor_classes()
@@ -84,21 +84,6 @@ def run_lint_pass(root: Optional[str]) -> List[Diagnostic]:
 
         root = str(Path(repro.__file__).parent)
     return lint_paths([root])
-
-
-def run_deps_pass_cli(
-    experiments_root: Optional[str],
-    config_path: Optional[str],
-    parallel_path: Optional[str],
-) -> List[Diagnostic]:
-    """Declaration-soundness pass (DS codes) with CLI path overrides."""
-    from repro.check.deps import run_deps_pass
-
-    return run_deps_pass(
-        experiments_root=experiments_root,
-        config_path=config_path,
-        parallel_path=parallel_path,
-    )
 
 
 def run_workers_pass_cli(entry: Optional[str]) -> List[Diagnostic]:
@@ -191,18 +176,6 @@ def _parser() -> argparse.ArgumentParser:
              "installed repro.experiments package)",
     )
     parser.add_argument(
-        "--deps-config",
-        default=None,
-        help="LabConfig module checked by the deps projection sub-pass "
-             "(default: the installed repro.analysis.config)",
-    )
-    parser.add_argument(
-        "--deps-parallel",
-        default=None,
-        help="scheduler module providing DEFAULT_TASKS / compute_task "
-             "(default: the installed repro.analysis.parallel)",
-    )
-    parser.add_argument(
         "--workers-entry",
         default=None,
         metavar="PATH[:FN1,FN2]",
@@ -261,12 +234,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             progress("lint: scanning source for determinism hazards...")
             results["lint"] = run_lint_pass(args.lint_root)
         elif pass_name == "deps":
-            progress("deps: checking requires= and cache-key projections...")
-            results["deps"] = run_deps_pass_cli(
-                args.deps_experiments_root,
-                args.deps_config,
-                args.deps_parallel,
-            )
+            from repro.check.deps import run_deps_pass
+
+            progress("deps: checking requires= declarations...")
+            results["deps"] = run_deps_pass(args.deps_experiments_root)
         elif pass_name == "workers":
             progress("workers: scanning pool-reachable code for hazards...")
             results["workers"] = run_workers_pass_cli(args.workers_entry)

@@ -1,18 +1,18 @@
-"""Declaration-soundness pass: prove ``requires=`` and cache-key
-projections match what the code actually does.
+"""Declaration-soundness pass: prove ``requires=`` matches what the
+experiment code actually consumes.
 
 The planner (:func:`repro.plan.build_plan`) schedules only the
 simulation tasks an experiment declares via ``@register(...,
-requires=)``, and the sweep deduper shares cached bitmaps across sweep
-points whenever :data:`repro.analysis.config.TASK_CONFIG_FIELDS` says a
-swept field cannot affect a task.  Both are *declarations*; nothing at
-runtime verifies them against the code.  A stale declaration therefore
-fails silently -- either as phantom planned work, or (far worse) as a
-wrong cached result served across a sweep.  This pass closes that gap
-statically, from the AST alone: it never imports the analysed modules.
+requires=)``.  That is a *declaration*; nothing at runtime verifies it
+against the code.  A stale declaration therefore fails silently --
+either as phantom planned work, or as a product the plan never primes.
+This pass closes that gap statically, from the AST of the experiment
+modules alone: it never imports them.  The plannable task set it checks
+names against is :data:`repro.analysis.config.TASKS`.
 
-Sub-pass A -- experiment dependency soundness
----------------------------------------------
+(The cache-key projection needs no static check: each ``TASKS`` row
+declares its fields once, and its build sees a config view that raises
+on any other field.)
 
 For every runner registered with a literal ``requires=`` tuple, infer
 the simulation products the runner body actually consumes:
@@ -40,35 +40,6 @@ A runner that hands a lab to an unresolvable callee, or passes a
 non-literal task name, is skipped (no DS001/DS002 for it): the
 inference must never report a false mismatch.
 
-Sub-pass B -- cache-key projection soundness
---------------------------------------------
-
-For every task, derive the :class:`~repro.analysis.config.LabConfig`
-fields its result is actually a function of -- the ``self.<field>``
-reads of its factory method in ``analysis/config.py`` (transitively
-through other ``LabConfig`` methods), plus the ``config.<field>`` reads
-of :func:`repro.analysis.parallel.compute_task` itself -- and check the
-``TASK_CONFIG_FIELDS`` projection against it.  Predictor ``__init__``
-signatures (AST over ``predictors/*.py``) name the constructor
-parameter each field feeds, so the diagnostic can say *where* the
-dependency lands.
-
-====== ===== ==========================================================
-DS004  error projection misses a field the task reads: two sweep points
-             differing only in that field share one cache entry --
-             stale-result aliasing, the worst failure class we have.
-DS005  warn  projection lists a field the task never reads: sweep
-             points that could share an artefact recompute it (lost
-             dedup; also fires when a task has no entry at all and
-             falls back to the every-field projection).
-====== ===== ==========================================================
-
-The ``selective_{count}_{window}`` family is checked against
-``_SELECTIVE_FIELDS``: its expected set is the fields read by
-``LabConfig.selection_config`` -- minus ``selective_window``, which is
-encoded in the task *name* and so needs no projection entry -- plus the
-correlation collection's fields (selective products are fitted on it).
-
 Suppress any finding with a ``check: ignore`` comment on the flagged
 line, same as the lint pass.
 """
@@ -77,8 +48,9 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.analysis.config import CORRELATION_TASK, TASKS
 from repro.check.diagnostics import (
     ERROR,
     WARNING,
@@ -99,9 +71,6 @@ _CORRELATION_CONSUMERS = frozenset({
     "selective_accuracy",
     "selective_correct",
 })
-
-#: The pseudo-task the correlation consumers resolve to.
-_CORRELATION = "correlation"
 
 #: Recursion ceiling for helper resolution (cycle guard is separate).
 _MAX_HELPER_DEPTH = 8
@@ -188,7 +157,7 @@ class _ModuleIndex:
 
 
 # ---------------------------------------------------------------------------
-# Sub-pass A: requires= soundness
+# requires= soundness
 # ---------------------------------------------------------------------------
 
 
@@ -312,7 +281,7 @@ class _LabFlow(ast.NodeVisitor):
 
     def _consume_lab_method(self, node: ast.Call, method: str) -> None:
         if method in _CORRELATION_CONSUMERS:
-            self.result.tasks.add(_CORRELATION)
+            self.result.tasks.add(CORRELATION_TASK)
         elif method in _NAMED_CONSUMERS:
             if node.args and isinstance(node.args[0], ast.Constant) \
                     and isinstance(node.args[0].value, str):
@@ -459,36 +428,8 @@ def _runner_labs_param(func: ast.FunctionDef) -> Optional[str]:
     return None
 
 
-def _known_sim_tasks(parallel_module: _Module) -> Tuple[str, ...]:
-    """The plannable task set: ``DEFAULT_TASKS`` parsed from the AST."""
-    for node in parallel_module.tree.body:
-        targets = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets = [node.target]
-            value = node.value
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == "DEFAULT_TASKS":
-                if isinstance(value, (ast.Tuple, ast.List)):
-                    names = []
-                    for element in value.elts:
-                        if isinstance(element, ast.Constant) \
-                                and isinstance(element.value, str):
-                            names.append(element.value)
-                        elif isinstance(element, ast.Name) \
-                                and element.id == "CORRELATION_TASK":
-                            names.append(_CORRELATION)
-                    return tuple(names)
-    return ()
-
-
 def analyze_requires(
     experiments_root: Optional[str] = None,
-    parallel_path: Optional[str] = None,
     package_root: Optional[str] = None,
 ) -> List[Diagnostic]:
     """DS001/DS002/DS003 over every registered runner under a directory.
@@ -496,8 +437,6 @@ def analyze_requires(
     Args:
         experiments_root: Directory of experiment modules (default: the
             installed ``repro/experiments``).
-        parallel_path: The scheduler module defining ``DEFAULT_TASKS``
-            (default: the installed ``repro/analysis/parallel.py``).
         package_root: ``src``-style root used to resolve ``repro.*``
             helper imports (default: the installed package's parent).
     """
@@ -507,15 +446,6 @@ def analyze_requires(
         Path(experiments_root)
         if experiments_root
         else root / "repro" / "experiments"
-    )
-    parallel_file = (
-        Path(parallel_path)
-        if parallel_path
-        else root / "repro" / "analysis" / "parallel.py"
-    )
-    parallel_module = index.load(parallel_file)
-    known_tasks = (
-        _known_sim_tasks(parallel_module) if parallel_module else ()
     )
     analyzer = _RequiresAnalyzer(index)
 
@@ -537,14 +467,14 @@ def analyze_requires(
             if requires is None:
                 continue  # falls back to the full default set: always sound
             for name in requires:
-                if known_tasks and name not in known_tasks:
+                if name not in TASKS:
                     diagnostics.append(Diagnostic(
                         code="DS003", severity=ERROR,
                         message=(
                             f"experiment {experiment_id!r} declares "
                             f"requires={name!r}, which is not a plannable "
                             f"simulation task (known: "
-                            f"{', '.join(known_tasks)}); selective "
+                            f"{', '.join(TASKS)}); selective "
                             "products are derived from 'correlation'"
                         ),
                         location=location,
@@ -569,8 +499,7 @@ def analyze_requires(
                     ),
                     location=location,
                 ))
-            known = set(known_tasks) if known_tasks else declared
-            for name in sorted((declared & known) - consumption.tasks):
+            for name in sorted((declared & set(TASKS)) - consumption.tasks):
                 diagnostics.append(Diagnostic(
                     code="DS002", severity=WARNING,
                     message=(
@@ -583,402 +512,5 @@ def analyze_requires(
     return sort_diagnostics(diagnostics)
 
 
-# ---------------------------------------------------------------------------
-# Sub-pass B: TASK_CONFIG_FIELDS projection soundness
-# ---------------------------------------------------------------------------
-
-
-class _ConfigClassInfo:
-    """LabConfig parsed from the AST: fields and per-method field reads."""
-
-    def __init__(self, class_def: ast.ClassDef) -> None:
-        self.class_def = class_def
-        self.fields: Tuple[str, ...] = tuple(
-            node.target.id
-            for node in class_def.body
-            if isinstance(node, ast.AnnAssign)
-            and isinstance(node.target, ast.Name)
-        )
-        self.methods: Dict[str, ast.FunctionDef] = {
-            node.name: node
-            for node in class_def.body
-            if isinstance(node, ast.FunctionDef)
-        }
-        self._reads_memo: Dict[str, FrozenSet[str]] = {}
-
-    def method_reads(self, method: str) -> FrozenSet[str]:
-        """Config fields a method reads, transitively through ``self``."""
-        return self._reads(method, ())
-
-    def _reads(self, method: str, stack: Tuple[str, ...]) -> FrozenSet[str]:
-        if method in self._reads_memo:
-            return self._reads_memo[method]
-        if method in stack or method not in self.methods:
-            return frozenset()
-        reads: Set[str] = set()
-        for node in ast.walk(self.methods[method]):
-            if isinstance(node, ast.Attribute) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == "self":
-                if node.attr in self.fields:
-                    reads.add(node.attr)
-            elif isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and isinstance(node.func.value, ast.Name) \
-                    and node.func.value.id == "self":
-                reads |= self._reads(node.func.attr, stack + (method,))
-        result = frozenset(reads)
-        self._reads_memo[method] = result
-        return result
-
-    def factory_constructor(self, method: str) -> Optional[str]:
-        """Class name the factory returns an instance of, if literal."""
-        definition = self.methods.get(method)
-        if definition is None:
-            return None
-        for node in ast.walk(definition):
-            if isinstance(node, ast.Return) \
-                    and isinstance(node.value, ast.Call) \
-                    and isinstance(node.value.func, ast.Name):
-                return node.value.func.id
-        return None
-
-
-def _find_class(tree: ast.Module, name: str) -> Optional[ast.ClassDef]:
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
-
-
-def _literal_str_dict(tree: ast.Module, name: str) -> Optional[Dict[str, tuple]]:
-    """A module-level ``{str: (str, ...)}`` literal, with its line."""
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name) and target.id == name \
-                    and isinstance(node.value, ast.Dict):
-                parsed: Dict[str, tuple] = {}
-                lines: Dict[str, int] = {}
-                for key, value in zip(node.value.keys, node.value.values):
-                    if not (isinstance(key, ast.Constant)
-                            and isinstance(key.value, str)):
-                        return None
-                    if not isinstance(value, (ast.Tuple, ast.List)):
-                        return None
-                    elements = []
-                    for element in value.elts:
-                        if not (isinstance(element, ast.Constant)
-                                and isinstance(element.value, str)):
-                            return None
-                        elements.append(element.value)
-                    parsed[key.value] = tuple(elements)
-                    lines[key.value] = key.lineno
-                parsed["__lines__"] = lines  # type: ignore[assignment]
-                return parsed
-    return None
-
-
-def _literal_str_tuple(
-    tree: ast.Module, name: str
-) -> Optional[Tuple[Tuple[str, ...], int]]:
-    for node in tree.body:
-        if not isinstance(node, ast.Assign):
-            continue
-        for target in node.targets:
-            if isinstance(target, ast.Name) and target.id == name \
-                    and isinstance(node.value, (ast.Tuple, ast.List)):
-                elements = []
-                for element in node.value.elts:
-                    if not (isinstance(element, ast.Constant)
-                            and isinstance(element.value, str)):
-                        return None
-                    elements.append(element.value)
-                return tuple(elements), node.lineno
-    return None
-
-
-def _compute_task_reads(
-    parallel_module: _Module, fields: Sequence[str]
-) -> Tuple[FrozenSet[str], FrozenSet[str]]:
-    """``(correlation reads, general reads)`` of ``compute_task``.
-
-    Reads on the ``config`` parameter inside the ``task ==
-    CORRELATION_TASK`` branch (which returns) belong to the correlation
-    task alone; reads outside it apply to every other task.
-    """
-    func = parallel_module.functions.get("compute_task")
-    if func is None:
-        return frozenset(), frozenset()
-    params = [arg.arg for arg in func.args.args]
-    config_param = "config" if "config" in params else (
-        params[1] if len(params) > 1 else None
-    )
-    if config_param is None:
-        return frozenset(), frozenset()
-
-    def reads_in(nodes: Sequence[ast.stmt]) -> Set[str]:
-        found: Set[str] = set()
-        for statement in nodes:
-            for node in ast.walk(statement):
-                if isinstance(node, ast.Attribute) \
-                        and isinstance(node.value, ast.Name) \
-                        and node.value.id == config_param \
-                        and node.attr in fields:
-                    found.add(node.attr)
-        return found
-
-    def mentions_correlation(node: ast.expr) -> bool:
-        for child in ast.walk(node):
-            if isinstance(child, ast.Name) and child.id == "CORRELATION_TASK":
-                return True
-            if isinstance(child, ast.Constant) \
-                    and child.value == _CORRELATION:
-                return True
-        return False
-
-    correlation: Set[str] = set()
-    general: Set[str] = set()
-    for statement in func.body:
-        if isinstance(statement, ast.If) \
-                and mentions_correlation(statement.test):
-            correlation |= reads_in(statement.body)
-            general |= reads_in(statement.orelse)
-        else:
-            general |= reads_in([statement])
-    return frozenset(correlation), frozenset(general)
-
-
-def _predictor_init_params(
-    predictors_dir: Path,
-) -> Dict[str, Tuple[str, ...]]:
-    """Class name -> ``__init__`` parameter names (AST, best effort)."""
-    signatures: Dict[str, Tuple[str, ...]] = {}
-    if not predictors_dir.is_dir():
-        return signatures
-    for path in sorted(predictors_dir.glob("*.py")):
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError):
-            continue
-        for node in tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for member in node.body:
-                if isinstance(member, ast.FunctionDef) \
-                        and member.name == "__init__":
-                    signatures[node.name] = tuple(
-                        arg.arg for arg in member.args.args[1:]
-                    )
-    return signatures
-
-
-def analyze_projections(
-    config_path: Optional[str] = None,
-    parallel_path: Optional[str] = None,
-    predictors_root: Optional[str] = None,
-) -> List[Diagnostic]:
-    """DS003/DS004/DS005 over the ``TASK_CONFIG_FIELDS`` projection.
-
-    Args:
-        config_path: The config module defining ``LabConfig`` and
-            ``TASK_CONFIG_FIELDS`` (default: the installed
-            ``repro/analysis/config.py``).
-        parallel_path: The scheduler module defining ``_FACTORY_ATTRS``
-            and ``compute_task`` (default: installed).
-        predictors_root: Directory of predictor modules used to name
-            constructor parameters in messages (default: installed).
-    """
-    root = _default_package_root()
-    config_file = (
-        Path(config_path) if config_path
-        else root / "repro" / "analysis" / "config.py"
-    )
-    parallel_file = (
-        Path(parallel_path) if parallel_path
-        else root / "repro" / "analysis" / "parallel.py"
-    )
-    predictors_dir = (
-        Path(predictors_root) if predictors_root
-        else root / "repro" / "predictors"
-    )
-    index = _ModuleIndex(root)
-    config_module = index.load(config_file)
-    parallel_module = index.load(parallel_file)
-    diagnostics: List[Diagnostic] = []
-    if config_module is None or parallel_module is None:
-        return [Diagnostic(
-            code="DS000", severity=ERROR,
-            message="config/parallel module failed to parse; projection "
-                    "soundness not analysable",
-            location=f"{config_file}:0",
-        )]
-
-    class_def = _find_class(config_module.tree, "LabConfig")
-    projection = _literal_str_dict(config_module.tree, "TASK_CONFIG_FIELDS")
-    if class_def is None or projection is None:
-        return [Diagnostic(
-            code="DS000", severity=ERROR,
-            message="LabConfig class or TASK_CONFIG_FIELDS literal not "
-                    "found; projection soundness not analysable",
-            location=f"{config_file}:0",
-        )]
-    lines: Dict[str, int] = projection.pop("__lines__")  # type: ignore
-    info = _ConfigClassInfo(class_def)
-    factory_attrs = _literal_flat_dict(parallel_module.tree, "_FACTORY_ATTRS")
-    correlation_reads, general_reads = _compute_task_reads(
-        parallel_module, info.fields
-    )
-    signatures = _predictor_init_params(predictors_dir)
-
-    def constructor_note(attr: str) -> str:
-        constructor = info.factory_constructor(attr)
-        if constructor and constructor in signatures:
-            params = ", ".join(signatures[constructor]) or "no parameters"
-            return f" (factory feeds {constructor}({params}))"
-        return ""
-
-    # Expected field set per computable task.
-    expected: Dict[str, FrozenSet[str]] = {}
-    for task, attr in sorted(factory_attrs.items()):
-        expected[task] = info.method_reads(attr) | general_reads
-    expected["fixed_best"] = general_reads
-    expected[_CORRELATION] = correlation_reads
-
-    for task in sorted(set(expected) | (set(projection) - {"__lines__"})):
-        location = f"{config_file}:{lines.get(task, class_def.lineno)}"
-        if location.rsplit(":", 1)[1].isdigit() \
-                and int(location.rsplit(":", 1)[1]) in config_module.suppressed:
-            continue
-        if task not in expected:
-            diagnostics.append(Diagnostic(
-                code="DS003", severity=ERROR,
-                message=(
-                    f"TASK_CONFIG_FIELDS names {task!r}, which no factory "
-                    "or scheduler path computes: a stale or misspelled "
-                    "task entry"
-                ),
-                location=location,
-            ))
-            continue
-        if task not in projection:
-            diagnostics.append(Diagnostic(
-                code="DS005", severity=WARNING,
-                message=(
-                    f"task {task!r} has no TASK_CONFIG_FIELDS entry; the "
-                    "conservative every-field fallback keeps results "
-                    "correct but defeats sweep dedup for it"
-                ),
-                location=f"{config_file}:{class_def.lineno}",
-            ))
-            continue
-        declared = set(projection[task])
-        attr = factory_attrs.get(task, "")
-        for name in sorted(expected[task] - declared):
-            diagnostics.append(Diagnostic(
-                code="DS004", severity=ERROR,
-                message=(
-                    f"task {task!r} reads LabConfig.{name} but the "
-                    "projection omits it: sweep points differing only in "
-                    f"{name} alias one cache entry and serve stale "
-                    f"results{constructor_note(attr)}"
-                ),
-                location=location,
-            ))
-        for name in sorted(declared - expected[task]):
-            diagnostics.append(Diagnostic(
-                code="DS005", severity=WARNING,
-                message=(
-                    f"task {task!r} projects LabConfig.{name} but never "
-                    "reads it: sweep points that could share its artefact "
-                    "recompute it (lost dedup)"
-                ),
-                location=location,
-            ))
-        for name in sorted(declared - set(info.fields)):
-            diagnostics.append(Diagnostic(
-                code="DS003", severity=ERROR,
-                message=(
-                    f"task {task!r} projects {name!r}, which is not a "
-                    "LabConfig field at all"
-                ),
-                location=location,
-            ))
-
-    # The selective_{count}_{window} family: window lives in the task
-    # name, so its projection is the selection-config reads minus
-    # selective_window, plus the correlation collection it is fit on.
-    selective = _literal_str_tuple(config_module.tree, "_SELECTIVE_FIELDS")
-    if selective is not None:
-        declared_fields, line = selective
-        if line not in config_module.suppressed:
-            location = f"{config_file}:{line}"
-            expected_selective = (
-                (info.method_reads("selection_config") - {"selective_window"})
-                | correlation_reads
-            )
-            declared = set(declared_fields)
-            for name in sorted(expected_selective - declared):
-                diagnostics.append(Diagnostic(
-                    code="DS004", severity=ERROR,
-                    message=(
-                        f"selective tasks read LabConfig.{name} but "
-                        "_SELECTIVE_FIELDS omits it: sweep points "
-                        f"differing only in {name} alias one cache entry"
-                    ),
-                    location=location,
-                ))
-            for name in sorted(declared - expected_selective):
-                diagnostics.append(Diagnostic(
-                    code="DS005", severity=WARNING,
-                    message=(
-                        f"_SELECTIVE_FIELDS lists LabConfig.{name} but "
-                        "selective tasks never read it (lost dedup)"
-                    ),
-                    location=location,
-                ))
-    return sort_diagnostics(diagnostics)
-
-
-def _literal_flat_dict(tree: ast.Module, name: str) -> Dict[str, str]:
-    """A module-level ``{str: str}`` literal (best effort)."""
-    for node in tree.body:
-        targets = []
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        else:
-            continue
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == name \
-                    and isinstance(value, ast.Dict):
-                parsed = {}
-                for key, element in zip(value.keys, value.values):
-                    if isinstance(key, ast.Constant) \
-                            and isinstance(key.value, str) \
-                            and isinstance(element, ast.Constant) \
-                            and isinstance(element.value, str):
-                        parsed[key.value] = element.value
-                return parsed
-    return {}
-
-
-def run_deps_pass(
-    experiments_root: Optional[str] = None,
-    config_path: Optional[str] = None,
-    parallel_path: Optional[str] = None,
-    package_root: Optional[str] = None,
-) -> List[Diagnostic]:
-    """Both sub-passes: requires= soundness plus projection soundness."""
-    diagnostics = analyze_requires(
-        experiments_root=experiments_root,
-        parallel_path=parallel_path,
-        package_root=package_root,
-    )
-    diagnostics.extend(analyze_projections(
-        config_path=config_path,
-        parallel_path=parallel_path,
-    ))
-    return sort_diagnostics(diagnostics)
+#: The whole pass (DS001-DS003), under the name ``repro check`` runs it by.
+run_deps_pass = analyze_requires

@@ -8,7 +8,7 @@ import json
 from typing import Any, Callable, Dict, Optional
 
 from repro.analysis.cache import ResultCache
-from repro.analysis.config import DEFAULT_CONFIG, LabConfig
+from repro.analysis.config import DEFAULT_CONFIG, TASKS, LabConfig
 from repro.analysis.runner import Lab
 from repro.obs.metrics import METRICS
 from repro.obs.tracing import span
@@ -143,9 +143,7 @@ def experiment_requires(experiment_id: str) -> tuple:
         )
     if experiment_id in _REQUIRES:
         return _REQUIRES[experiment_id]
-    from repro.analysis.parallel import DEFAULT_TASKS
-
-    return tuple(DEFAULT_TASKS)
+    return tuple(TASKS)
 
 
 def build_labs(
@@ -238,14 +236,14 @@ def build_labs(
                 if variant:
                     sources[name] = ("synthetic", effective_mix(name, mix))
         if jobs is not None:
-            from repro.analysis.parallel import DEFAULT_TASKS, prime_labs
+            from repro.analysis.parallel import prime_labs
 
             prime_labs(
                 labs,
                 run_seed,
                 jobs=jobs,
                 cache=cache,
-                tasks=DEFAULT_TASKS if tasks is None else tuple(tasks),
+                tasks=tuple(TASKS) if tasks is None else tuple(tasks),
                 policy=policy,
                 injector=injector,
                 failures=failures,

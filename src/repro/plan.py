@@ -34,7 +34,7 @@ journaling -- runs exactly the planned work.  ``repro plan spec.json``
 prints :meth:`Plan.describe` without executing anything.
 
 When the spec's engine options set ``chunk_branches``, each *chunkable*
-sim task (:data:`repro.analysis.streamed.CHUNKABLE_TASKS`) over a trace
+sim task (a chunkable :data:`repro.analysis.config.TASKS` row) over a trace
 longer than the window expands into per-chunk tasks
 (``p0/sim/gcc/gshare/c0`` .. ``c{K-1}``), each depending on its
 predecessor chunk -- the carried predictor state makes the fold
@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.config import task_config_key
+from repro.analysis.config import TASKS, task_config_key
 from repro.errors import PlanError, UnknownExperimentError
 from repro.spec import RunSpec
 
@@ -192,11 +192,9 @@ def build_plan(spec: RunSpec) -> Plan:
         UnknownExperimentError: If the spec names an unregistered
             experiment.
         PlanError: If a named experiment's ``requires=`` declaration
-            contains a task outside :data:`DEFAULT_TASKS` (nothing
-            could ever prime it).
+            contains a task outside :data:`~repro.analysis.config.TASKS`
+            (nothing could ever prime it).
     """
-    from repro.analysis.parallel import DEFAULT_TASKS
-    from repro.analysis.streamed import CHUNKABLE_TASKS
     from repro.experiments.base import experiment_requires
     from repro.trace.stream import chunk_spans, normalize_chunk_branches
     from repro.workloads.suite import scaled_length
@@ -206,12 +204,12 @@ def build_plan(spec: RunSpec) -> Plan:
             required = experiment_requires(experiment_id)
         except KeyError as error:
             raise UnknownExperimentError(error.args[0]) from None
-        bad = [name for name in required if name not in DEFAULT_TASKS]
+        bad = [name for name in required if name not in TASKS]
         if bad:
             raise PlanError(
                 f"experiment {experiment_id!r} declares requires= task(s) "
                 f"{', '.join(map(repr, sorted(bad)))} outside the "
-                f"plannable set ({', '.join(DEFAULT_TASKS)}); selective "
+                f"plannable set ({', '.join(TASKS)}); selective "
                 "products are derived from 'correlation' -- declare that "
                 "instead"
             )
@@ -238,21 +236,13 @@ def build_plan(spec: RunSpec) -> Plan:
     for index, (coords, point_spec) in enumerate(points):
         prefix = f"p{index}"
         workload = point_spec.workload
-        # Every task the point's experiments declared, ordered like the
-        # scheduler's default set (unknown/selective names keep their
-        # declaration order at the end).
-        needed: List[str] = []
-        for experiment_id in point_spec.experiments:
-            for name in experiment_requires(experiment_id):
-                if name not in needed:
-                    needed.append(name)
-        needed.sort(
-            key=lambda name: (
-                DEFAULT_TASKS.index(name)
-                if name in DEFAULT_TASKS
-                else len(DEFAULT_TASKS)
-            )
-        )
+        # Every task the point's experiments declared, in table order.
+        declared = {
+            name
+            for experiment_id in point_spec.experiments
+            for name in experiment_requires(experiment_id)
+        }
+        needed = [name for name in TASKS if name in declared]
 
         # Per-point source identity: "" keeps the legacy key bytes (the
         # dedup anchor across mix-swept points whose mix does not touch
@@ -295,7 +285,7 @@ def build_plan(spec: RunSpec) -> Plan:
                 spans = (
                     chunk_spans(length, chunk_branches)
                     if chunk_branches is not None
-                    and task_name in CHUNKABLE_TASKS
+                    and TASKS[task_name].chunkable
                     and length is not None
                     and length > chunk_branches
                     else []

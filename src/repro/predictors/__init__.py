@@ -22,7 +22,12 @@ Every predictor the paper uses or references is implemented here:
 * :mod:`~repro.predictors.profile_based` -- the section-2.2 related-work
   schemes: statically-determined PHTs (Sechrest/Young) and Chang's
   branch-classification hybrid.
+
+:data:`PREDICTOR_REGISTRY` maps the spec names ``repro-tools simulate
+--predictor`` accepts to default-constructible factories.
 """
+
+from typing import Callable, Dict
 
 from repro.predictors.base import BranchPredictor, simulate
 from repro.predictors.bimodal import BimodalPredictor
@@ -44,6 +49,7 @@ from repro.predictors.profile_based import (
     StaticPhtGlobal,
     StaticPhtPAs,
 )
+from repro.predictors.selective import SelectiveHistoryPredictor
 from repro.predictors.skewed import SkewedPredictor
 from repro.predictors.static_ import (
     AlwaysNotTakenPredictor,
@@ -59,6 +65,34 @@ from repro.predictors.twolevel import (
     PAgPredictor,
     PAsPredictor,
 )
+
+
+def _fixed_pattern_factory(k: int = 8) -> FixedLengthPatternPredictor:
+    """Default-constructible wrapper (the class itself requires ``k``)."""
+    return FixedLengthPatternPredictor(k)
+
+
+#: Predictor factories by spec name (``simulate --predictor``).
+PREDICTOR_REGISTRY: Dict[str, Callable[..., BranchPredictor]] = {
+    "always-taken": AlwaysTakenPredictor,
+    "always-not-taken": AlwaysNotTakenPredictor,
+    "btfnt": BackwardTakenPredictor,
+    "ideal-static": IdealStaticPredictor,
+    "bimodal": BimodalPredictor,
+    "gag": GAgPredictor,
+    "gas": GAsPredictor,
+    "gshare": GsharePredictor,
+    "pag": PAgPredictor,
+    "pas": PAsPredictor,
+    "if-gshare": InterferenceFreeGshare,
+    "if-pas": InterferenceFreePAs,
+    "loop": LoopPredictor,
+    "block": BlockPatternPredictor,
+    "fixed": _fixed_pattern_factory,
+    "selective": SelectiveHistoryPredictor,
+    "path": PathBasedPredictor,
+    "egskew": SkewedPredictor,
+}
 
 __all__ = [
     "AlwaysNotTakenPredictor",
@@ -81,9 +115,11 @@ __all__ = [
     "OracleCombiner",
     "PAgPredictor",
     "PAsPredictor",
+    "PREDICTOR_REGISTRY",
     "PathBasedPredictor",
     "ProfileStaticPredictor",
     "SaturatingCounter",
+    "SelectiveHistoryPredictor",
     "SkewedPredictor",
     "StaticPhtGlobal",
     "StaticPhtPAs",

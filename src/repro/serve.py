@@ -74,6 +74,13 @@ _MAX_BODY_BYTES = 8 * 1024 * 1024
 _MAX_HEADER_BYTES = 64 * 1024
 
 
+class _BadRequest(ReproError):
+    """A request the HTTP reader cannot parse (answered with a 400)."""
+
+    code = "http.bad_request"
+    http_status = 400
+
+
 class RunState:
     """One deduped run: its spec, lifecycle, events, and final envelope."""
 
@@ -422,7 +429,11 @@ class AnalysisServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await self._read_request(reader)
+            except _BadRequest as error:
+                await self._send_json(writer, error.http_status, error.to_dict())
+                return
             if request is None:
                 return
             method, path, headers, body = request
@@ -465,8 +476,13 @@ class AnalysisServer:
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
-        if length < 0 or length > _MAX_BODY_BYTES:
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _BadRequest(
+                f"Content-Length {raw_length!r} is not a non-negative integer"
+            )
+        length = int(raw_length)
+        if length > _MAX_BODY_BYTES:
             return None
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body

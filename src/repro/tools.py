@@ -22,37 +22,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.interference import measure_gshare_interference
 from repro.cliopts import engine_parent, write_observability_outputs
+from repro.predictors import PREDICTOR_REGISTRY
 from repro.predictors.base import BranchPredictor
-from repro.predictors.bimodal import BimodalPredictor
-from repro.predictors.interference_free import (
-    InterferenceFreeGshare,
-    InterferenceFreePAs,
-)
-from repro.predictors.loop import LoopPredictor
-from repro.predictors.path import PathBasedPredictor
-from repro.predictors.skewed import SkewedPredictor
-from repro.predictors.pattern import (
-    BlockPatternPredictor,
-    FixedLengthPatternPredictor,
-)
-from repro.predictors.selective import SelectiveHistoryPredictor
-from repro.predictors.static_ import (
-    AlwaysNotTakenPredictor,
-    AlwaysTakenPredictor,
-    BackwardTakenPredictor,
-    IdealStaticPredictor,
-)
-from repro.predictors.twolevel import (
-    GAgPredictor,
-    GAsPredictor,
-    GsharePredictor,
-    PAgPredictor,
-    PAsPredictor,
-)
 from repro.trace.stats import compute_statistics
 from repro.trace.stream import (
     read_text_trace,
@@ -61,33 +36,6 @@ from repro.trace.stream import (
     write_trace,
 )
 from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
-
-def _fixed_pattern_factory(k: int = 8) -> FixedLengthPatternPredictor:
-    """Default-constructible wrapper (the class itself requires ``k``)."""
-    return FixedLengthPatternPredictor(k)
-
-
-#: Predictor factories accepted by ``simulate --predictor``.
-PREDICTOR_REGISTRY: Dict[str, Callable[..., BranchPredictor]] = {
-    "always-taken": AlwaysTakenPredictor,
-    "always-not-taken": AlwaysNotTakenPredictor,
-    "btfnt": BackwardTakenPredictor,
-    "ideal-static": IdealStaticPredictor,
-    "bimodal": BimodalPredictor,
-    "gag": GAgPredictor,
-    "gas": GAsPredictor,
-    "gshare": GsharePredictor,
-    "pag": PAgPredictor,
-    "pas": PAsPredictor,
-    "if-gshare": InterferenceFreeGshare,
-    "if-pas": InterferenceFreePAs,
-    "loop": LoopPredictor,
-    "block": BlockPatternPredictor,
-    "fixed": _fixed_pattern_factory,
-    "selective": SelectiveHistoryPredictor,
-    "path": PathBasedPredictor,
-    "egskew": SkewedPredictor,
-}
 
 
 def parse_predictor_spec(spec: str) -> BranchPredictor:
@@ -234,7 +182,7 @@ def _cmd_interference(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.check.cli import main as check_main  # lazy: avoid cycle
+    from repro.check.cli import main as check_main
 
     forwarded: List[str] = list(args.passes)
     if args.strict:

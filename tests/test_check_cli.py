@@ -14,7 +14,6 @@ FIXTURES = Path(__file__).parent / "fixtures" / "check_defects"
 DEFECT_ARGS = [
     "deps", "workers",
     "--deps-experiments-root", str(FIXTURES / "experiments"),
-    "--deps-config", str(FIXTURES / "bad_config.py"),
     "--workers-entry", str(FIXTURES / "bad_worker.py") + ":compute_task",
 ]
 
@@ -57,7 +56,7 @@ class TestNewPasses:
     def test_defect_fixtures_fail_the_check(self, capsys):
         assert check_cli.main(DEFECT_ARGS) == 1
         out = capsys.readouterr().out
-        for code in ("DS001", "DS002", "DS003", "DS004", "DS005",
+        for code in ("DS001", "DS002", "DS003",
                      "WS001", "WS002", "WS003", "WS004"):
             assert code in out
 
@@ -68,8 +67,8 @@ class TestJsonFormat:
         out = capsys.readouterr().out
         document = json.loads(out)  # progress lines suppressed
         assert document["passes"] == ["deps", "workers"]
-        assert document["errors"] == 12
-        assert document["warnings"] == 2
+        assert document["errors"] == 11
+        assert document["warnings"] == 1
         record = document["diagnostics"][0]
         assert set(record) == {
             "pass", "code", "severity", "message", "location", "file",
@@ -95,7 +94,7 @@ class TestGithubAnnotations:
         out = capsys.readouterr().out
         assert "::error file=" in out
         assert "::warning file=" in out
-        assert ",title=DS004::" in out
+        assert ",title=DS003::" in out
         assert ",line=" in out
 
     def test_no_annotations_on_clean_run(self, capsys):

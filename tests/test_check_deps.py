@@ -4,11 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.check.deps import (
-    analyze_projections,
-    analyze_requires,
-    run_deps_pass,
-)
+from repro.check.deps import analyze_requires, run_deps_pass
 from repro.check.diagnostics import ERROR, WARNING
 
 FIXTURES = Path(__file__).parent / "fixtures" / "check_defects"
@@ -23,13 +19,10 @@ def by_code(diagnostics, code):
 
 
 class TestRealTreeIsClean:
-    """The shipped experiments and config must pass their own audit."""
+    """The shipped experiments must pass their own audit."""
 
     def test_requires_pass_clean(self):
         assert analyze_requires() == []
-
-    def test_projection_pass_clean(self):
-        assert analyze_projections() == []
 
     def test_combined_pass_clean(self):
         assert run_deps_pass() == []
@@ -87,42 +80,17 @@ class TestSeededRequiresDefects:
             assert int(line) > 0
 
 
-class TestSeededProjectionDefects:
-    """Stale TASK_CONFIG_FIELDS copies produce DS004/DS005."""
-
-    @pytest.fixture(scope="class")
-    def diagnostics(self):
-        return analyze_projections(
-            config_path=str(FIXTURES / "bad_config.py")
-        )
-
-    def test_exact_code_multiset(self, diagnostics):
-        assert sorted(codes(diagnostics)) == ["DS004", "DS005"]
-
-    def test_ds004_missing_read_field_is_error(self, diagnostics):
-        (missing,) = by_code(diagnostics, "DS004")
-        assert missing.severity == ERROR
-        assert "'gshare'" in missing.message
-        assert "gshare_pht_bits" in missing.message
-        # The constructor note makes the finding actionable.
-        assert "GsharePredictor" in missing.message
-
-    def test_ds005_unread_field_is_warning(self, diagnostics):
-        (unread,) = by_code(diagnostics, "DS005")
-        assert unread.severity == WARNING
-        assert "'loop'" in unread.message
-        assert "pas_history_bits" in unread.message
-
-
 class TestSuppression:
     def test_check_ignore_comment_silences_a_finding(self, tmp_path):
-        fixture = (FIXTURES / "bad_config.py").read_text(encoding="utf-8")
+        fixture = (FIXTURES / "experiments" / "defective.py").read_text(
+            encoding="utf-8"
+        )
         patched = fixture.replace(
-            '"gshare": ("gshare_history_bits",),',
-            '"gshare": ("gshare_history_bits",),  # check: ignore',
+            '@register("fx_phantom", requires=("gshare", "loop"))',
+            '@register("fx_phantom", requires=("gshare", "loop"))'
+            "  # check: ignore",
         )
         assert patched != fixture
-        target = tmp_path / "suppressed_config.py"
-        target.write_text(patched, encoding="utf-8")
-        diagnostics = analyze_projections(config_path=str(target))
-        assert codes(diagnostics) == ["DS005"]
+        (tmp_path / "defective.py").write_text(patched, encoding="utf-8")
+        diagnostics = analyze_requires(experiments_root=str(tmp_path))
+        assert sorted(codes(diagnostics)) == ["DS001", "DS001", "DS003"]

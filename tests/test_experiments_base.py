@@ -1,14 +1,17 @@
 """Tests for experiment infrastructure and the paper-reference data."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analysis.cache import result_key
 from repro.analysis.config import (
+    DEFAULT_CONFIG,
+    TASKS,
     LabConfig,
-    TASK_CONFIG_FIELDS,
+    Task,
     task_config_fields,
     task_config_key,
 )
@@ -55,16 +58,19 @@ _ALL_FIELDS = tuple(f.name for f in fields(LabConfig))
 
 
 class TestProjectionConservatism:
-    """Unknown tasks must project onto every field -- never alias."""
+    """Unknown tasks have no projection -- they can never alias."""
 
     @given(
         st.text(min_size=1, max_size=30).filter(
-            lambda name: name not in TASK_CONFIG_FIELDS
+            lambda name: name not in TASKS
             and not name.startswith("selective_")
         )
     )
-    def test_unknown_names_project_onto_every_field(self, name):
-        assert task_config_fields(name) == _ALL_FIELDS
+    def test_unknown_names_raise_key_error(self, name):
+        with pytest.raises(KeyError):
+            task_config_fields(name)
+        with pytest.raises(KeyError):
+            task_config_key(name, DEFAULT_CONFIG)
 
     @given(st.integers(min_value=1, max_value=64))
     def test_selective_tasks_use_the_selective_projection(self, top_k):
@@ -73,16 +79,59 @@ class TestProjectionConservatism:
         )
 
     def test_known_tasks_project_onto_declared_subsets(self):
-        for task, declared in TASK_CONFIG_FIELDS.items():
-            assert set(declared) <= set(_ALL_FIELDS), task
+        for task in TASKS.values():
+            assert set(task.fields) <= set(_ALL_FIELDS), task.name
 
-    def test_unknown_task_key_differs_whenever_any_field_does(self):
-        base = LabConfig()
-        for name in _ALL_FIELDS:
-            changed = LabConfig(**{name: getattr(base, name) + 1})
-            assert task_config_key("mystery", changed) != task_config_key(
-                "mystery", base
-            ), name
+
+#: Cache keys the default configuration produced before the task table
+#: existed; a warm cache from then must still hit.
+_GOLDEN_KEYS = {
+    "gshare": "gshare|gshare(gshare_history_bits=16, gshare_pht_bits=16)",
+    "if_gshare": "if_gshare|if_gshare(if_gshare_history_bits=8)",
+    "pas": "pas|pas(pas_history_bits=6, pas_bht_bits=12)",
+    "if_pas": "if_pas|if_pas(if_pas_history_bits=6)",
+    "loop": "loop|loop()",
+    "block": "block|block()",
+    "ideal_static": "ideal_static|ideal_static()",
+    "fixed_best": "fixed_best|fixed_best()",
+    "correlation": "correlation|correlation(collection_window=32)",
+    "selective_3_16": (
+        "selective_3_16|selective_3_16(selective_top_k=12, "
+        "collection_window=32)"
+    ),
+}
+
+
+class _RecordingConfig:
+    """DEFAULT_CONFIG that records every field read through it."""
+
+    def __init__(self):
+        self.reads = []
+
+    def __getattr__(self, name):
+        self.reads.append(name)
+        return getattr(DEFAULT_CONFIG, name)
+
+
+class TestTaskTable:
+    def test_default_cache_keys_are_unchanged(self):
+        assert set(_GOLDEN_KEYS) == set(TASKS) | {"selective_3_16"}
+        for task, key in _GOLDEN_KEYS.items():
+            assert result_key(task, DEFAULT_CONFIG) == key
+
+    def test_undeclared_field_read_raises(self):
+        stale = replace(TASKS["gshare"], fields=("gshare_history_bits",))
+        with pytest.raises(RuntimeError, match="'gshare'.*gshare_pht_bits"):
+            stale.make(DEFAULT_CONFIG)
+        probe = Task("probe", (), lambda c: c.collection_window)
+        with pytest.raises(RuntimeError, match="'probe'.*collection_window"):
+            probe.make(DEFAULT_CONFIG)
+
+    def test_builds_read_exactly_their_declared_fields(self):
+        for task in TASKS.values():
+            config = _RecordingConfig()
+            task.build(config)
+            assert set(config.reads) == set(task.fields), task.name
 
 
 class TestRegistryRequiresArePlannable:
@@ -95,10 +144,6 @@ class TestRegistryRequiresArePlannable:
                     f"experiment {experiment_id!r} requires "
                     f"unplannable task {task!r}"
                 )
-
-    def test_every_default_task_has_a_projection(self):
-        for task in DEFAULT_TASKS:
-            assert task in TASK_CONFIG_FIELDS, task
 
 
 class TestInfrastructure:

@@ -15,7 +15,9 @@ The acceptance bar for analysis-as-a-service:
 
 import dataclasses
 import json
+import socket
 import threading
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -215,6 +217,25 @@ class TestWireFormat:
         assert payload["error"].startswith("spec.")
         with pytest.raises(SpecError):
             client._checked("POST", "/v1/runs", b'{"bogus": 1}')
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1_0"])
+    def test_bad_content_length_is_400(self, server, length):
+        srv, thread = server
+        url = urlsplit(thread.url)
+        with socket.create_connection((url.hostname, url.port), timeout=30) as conn:
+            conn.sendall(
+                f"POST /v1/runs HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+                .encode("latin-1")
+            )
+            reply = b""
+            while chunk := conn.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        payload = json.loads(body)
+        assert payload["schema"] == "error/v1"
+        assert payload["error"] == "http.bad_request"
+        assert length in payload["message"]
 
     def test_unknown_run_is_404(self, server):
         srv, thread = server

@@ -25,7 +25,7 @@ from repro.analysis.streamed import (
 )
 from repro.check.contracts import _prepare
 from repro.sim.fold import fold_correct_count, fold_simulate
-from repro.tools import PREDICTOR_REGISTRY
+from repro.predictors import PREDICTOR_REGISTRY
 from repro.trace.stream import TraceStream, write_trace_chunked
 
 from conftest import trace_from_steps

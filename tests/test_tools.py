@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.tools import PREDICTOR_REGISTRY, main, parse_predictor_spec
+from repro.predictors import PREDICTOR_REGISTRY
+from repro.tools import main, parse_predictor_spec
 from repro.trace.stream import read_trace
 
 
