@@ -10,62 +10,75 @@ back into each :class:`~repro.analysis.runner.Lab`'s memo dict, so
 downstream experiments see exactly the state a serial run would have
 produced.
 
-Determinism: every job is a pure function of ``(benchmark name, length,
-run seed, config, task)``; workers regenerate the trace from those
-inputs (a per-process LRU plus the shared disk cache make this cheap)
-and the parent verifies the returned trace digest before folding, so
-completion order and worker scheduling cannot change any result.
-
-Streaming: with ``chunk_branches`` set, the causal tasks (the rows
-marked ``chunkable``, :data:`~repro.analysis.streamed.CHUNKABLE_TASKS`)
-run as *chunk lanes* instead of whole-trace jobs -- each benchmark's
-columns are published once into :mod:`multiprocessing.shared_memory`
-and workers simulate fixed windows, resuming from the carried predictor
-state the previous chunk returned.  Nothing trace-length-proportional is ever
+Lanes: the scheduling unit is a *lane*, one ``(benchmark, task)`` chain
+of windows.  A whole-trace task is a one-window lane: a worker
+regenerates the trace from the job spec (a per-process LRU plus the
+shared disk cache make this cheap) and the parent verifies the returned
+trace digest before folding.  With ``chunk_branches`` set, the causal
+tasks (the rows marked ``chunkable``,
+:data:`~repro.analysis.streamed.CHUNKABLE_TASKS`) run as N-window lanes
+instead -- each benchmark's columns are published once into
+:mod:`multiprocessing.shared_memory` and window ``k`` resumes from the
+pickled predictor state window ``k-1`` returned, which the parent
+carries between windows.  Nothing trace-length-proportional is ever
 pickled into a submission, and the folded bitmaps are bit-identical to
-the unchunked run (the PC011 contract check and the split-point
-property tests enforce it).
+the whole-trace run (the PC011 contract check and the split-point
+property tests enforce it against
+:func:`~repro.analysis.streamed.chunked_bitmap`).
 
-Resilience: the parent runs a supervisor loop rather than a bare
-``as_completed``.  A failing attempt (worker exception, injected
-crash, lost worker, wall-clock timeout) is retried with deterministic
-capped backoff up to the :class:`~repro.resilience.RetryPolicy`'s
-attempt budget; a timed-out or broken pool is killed and rebuilt, with
-innocent in-flight jobs resubmitted at their *current* attempt number.
-A task that exhausts its budget becomes a structured
-:class:`~repro.resilience.TaskFailure` -- the run continues and the
-lab computes that task lazily in-process if an experiment needs it.
+Determinism: every window is a pure function of its job spec, and the
+parent folds finished lanes in the deterministic (sorted-benchmark,
+task-order) pending order, so completion order and worker scheduling
+cannot change any result.
+
+Resilience: one supervisor loop drives every lane kind.  Each window
+submission is one attempt: a failing attempt (worker exception,
+injected crash, lost worker, wall-clock timeout) is retried with
+deterministic capped backoff up to the
+:class:`~repro.resilience.RetryPolicy`'s attempt budget, so deadline and
+retry apply per window and a crashed worker costs one window, not the
+lane.  A timed-out or broken pool is killed and rebuilt, with innocent
+in-flight attempts resubmitted at their *current* attempt number.  A
+lane that exhausts a window's budget becomes a structured
+:class:`~repro.resilience.TaskFailure` -- the run continues and the lab
+computes that task lazily in-process if an experiment needs it.
 ``KeyboardInterrupt``/``SIGTERM`` tear the pool down cleanly (cancel
 pending futures, terminate workers) instead of leaking it.  The
 :class:`~repro.resilience.FaultInjector` hooks the same machinery so
 crashes, hangs and cache corruption are reproducible in tests: the
 same fault spec yields the same attempt sequence -- and identical
 folded results and resilience counters -- for ``--jobs 1`` and
-``--jobs 4``.
+``--jobs 4``.  Injected faults target whole task attempts, so an
+injector routes every task through whole-trace lanes.
 
 Observability crosses the process boundary the same way the results do:
 each worker resets its per-process :data:`repro.obs.METRICS` registry
-and :data:`repro.obs.TRACER` per job, and ships the metric delta plus
-its span events back alongside the result; the parent folds both in the
-same deterministic (sorted-benchmark, task-order) sequence it folds
-bitmaps, so aggregated counters are independent of completion order and
-``sum(worker deltas) == single-process counters`` for every work-unit
-counter.  (A crashed attempt's delta dies with it; only successful
-attempts are folded, identically in serial and parallel runs.)
+and :data:`repro.obs.TRACER` per attempt, and ships the metric delta
+plus its span events back alongside the result; the parent folds both
+in the same order it folds results, so aggregated counters are
+independent of completion order and ``sum(worker deltas) ==
+single-process counters`` for every work-unit counter.  (A crashed
+attempt's delta dies with it; only successful attempts are folded,
+identically in serial and parallel runs.)
 
 Worker count comes from ``--jobs``, the :data:`ENV_JOBS` environment
-variable, or ``os.cpu_count()``; ``jobs <= 1`` short-circuits to the
-plain in-process path with no executor, no pickling and no subprocesses
--- but the same retry/fault semantics.
+variable, or ``os.cpu_count()``.  ``jobs <= 1`` runs the same
+supervisor over an in-process executor: each attempt runs at submission
+on the lab's own trace and records telemetry straight into the parent's
+registries -- no subprocesses, no pickling of traces or results, but
+the same retry/fault semantics.  In-process, an injected hang raises
+:class:`~repro.resilience.TaskTimeout` at once; a genuine hang cannot
+be preempted without threads.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import pickle
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -73,11 +86,8 @@ import numpy as np
 
 from repro.analysis.cache import ResultCache, result_key
 from repro.analysis.config import CORRELATION_TASK, TASKS, LabConfig
-from repro.analysis.streamed import (
-    CHUNKABLE_TASKS,
-    chunked_bitmap,
-    task_predictor,
-)
+from repro.analysis.shm import SharedTrace, attach_window
+from repro.analysis.streamed import CHUNKABLE_TASKS, task_predictor
 from repro.obs.metrics import METRICS
 from repro.obs.tracing import TRACER, span
 from repro.resilience.faults import (
@@ -87,7 +97,7 @@ from repro.resilience.faults import (
     InjectedCrash,
 )
 from repro.resilience.retry import RetryPolicy, TaskFailure, TaskTimeout
-from repro.trace.stream import TraceStream, chunk_spans, normalize_chunk_branches
+from repro.trace.stream import chunk_spans, normalize_chunk_branches
 from repro.trace.trace import Trace
 
 if TYPE_CHECKING:
@@ -124,9 +134,9 @@ def resolve_jobs(jobs: Optional[int]) -> int:
 def compute_task(trace: Trace, config: LabConfig, task: str):
     """Compute one task's result on a trace (the single source of truth).
 
-    Used by :class:`~repro.analysis.runner.Lab` on a memo/cache miss, by
-    the serial priming path in-process and by :func:`_run_task` inside
-    workers, so every path produces bit-identical results and identical
+    Used by :class:`~repro.analysis.runner.Lab` on a memo/cache miss and
+    by every whole-trace attempt, in-process or inside a worker, so
+    every path produces bit-identical results and identical
     work-unit metrics (``sim.simulations`` /
     ``sim.correlation_collections``).
     """
@@ -164,23 +174,26 @@ def _corrupt_result_entry(
         pass
 
 
+def _telemetry(start: float) -> tuple:
+    """A worker attempt's metric delta, span events and wall time."""
+    return METRICS.snapshot(), TRACER.chrome_events(), time.perf_counter() - start
+
+
 def _run_task(job: tuple):
-    """Execute one ``(benchmark, task)`` attempt in a worker process.
+    """Worker attempt of a whole-trace lane: ``(result, digest, telemetry)``.
 
     Module-level so it pickles; regenerates the trace from the job spec
     (per-process LRU in ``load_benchmark`` plus the shared disk cache
-    keep this a one-time cost per worker per benchmark).  Returns the
-    job's metric delta and span events alongside the result so the
-    parent can fold telemetry deterministically.
+    keep this a one-time cost per worker per benchmark) and writes the
+    result through to the shared cache.  Returns the simulated trace's
+    digest for the parent to verify, and the attempt's metric delta and
+    span events so the parent can fold telemetry deterministically.
 
     ``fault_kinds`` is the pre-matched tuple of injected faults for
     exactly this attempt (the parent does the matching and counting, so
     an attempt that dies cannot lose the accounting).
     """
-    (
-        name, length, run_seed, config, task, cache_root, _window,
-        source, fault_kinds,
-    ) = job
+    name, length, run_seed, config, task, cache_root, source, fault_kinds = job
 
     if "crash" in fault_kinds:
         raise InjectedCrash(f"injected crash: {name}/{task}")
@@ -200,13 +213,7 @@ def _run_task(job: tuple):
                 cache.store_correlation(digest, result)
             else:
                 cache.store_bitmap(digest, result_key(task, config), result)
-            if "corrupt" in fault_kinds:
-                _corrupt_result_entry(cache, digest, task, config)
-    duration = time.perf_counter() - start
-    return (
-        name, task, digest, result,
-        METRICS.snapshot(), TRACER.chrome_events(), duration,
-    )
+    return result, digest, _telemetry(start)
 
 
 def _worker_trace(
@@ -247,51 +254,68 @@ def _worker_trace(
     return trace
 
 
+def _run_task_here(lab: Lab, name: str, task: str, fault_kinds: Tuple[str, ...]):
+    """In-process attempt of a whole-trace lane, on the lab's own trace.
+
+    An injected hang cannot sleep here -- nothing would preempt it -- so
+    it fails the attempt as a timeout at once, keeping the attempt
+    sequence (and every resilience counter) identical to a parallel run
+    under the same fault spec.
+    """
+    if "crash" in fault_kinds:
+        raise InjectedCrash(f"injected crash: {name}/{task}")
+    if "hang" in fault_kinds:
+        raise TaskTimeout(f"injected hang: {name}/{task} (in-process)")
+    return compute_task(lab.trace, lab.config, task), lab.trace.digest(), None
+
+
+def _simulate_window(window: Trace, config: LabConfig, task: str, state):
+    """One chunk window of a lane: ``(bitmap, state)``.
+
+    ``state`` is the pickled predictor the previous window returned
+    (None for the first window).  The new state is pickled too, so a
+    failed attempt leaves the lane's carried state untouched for its
+    retry, on any worker or in-process.
+    """
+    predictor = (
+        pickle.loads(state) if state is not None else task_predictor(config, task)
+    )
+    METRICS.inc("sim.chunk_simulations")
+    bitmap = np.asarray(predictor.simulate(window), dtype=bool)
+    return bitmap, pickle.dumps(predictor, protocol=pickle.HIGHEST_PROTOCOL)
+
+
 def _run_chunk(job: tuple):
-    """Execute one chunk attempt of a chunked lane in a worker process.
+    """Worker attempt of one chunk window: ``(bitmap, state, telemetry)``.
 
     The trace window comes from the parent's shared-memory segment --
     no column pickling, no regeneration -- and the predictor resumes
-    from the carried state the lane's previous chunk returned (None for
-    the first chunk).  Returns the window's correctness bitmap plus the
-    predictor's new pickled state, so the parent can chain the next
-    chunk on any worker.
+    from the carried state, so the parent can chain the next window on
+    any worker.
     """
-    (shm_name, length, start, stop, config, task, state_blob) = job
-    from repro.analysis.shm import attach_window
-
+    shm_name, length, config, task, start, stop, state = job
     METRICS.reset()
     TRACER.reset()
     begin = time.perf_counter()
     window, handle = attach_window(shm_name, length, start, stop)
     try:
         with span("chunk", task=task, start=start, stop=stop):
-            predictor = (
-                pickle.loads(state_blob)
-                if state_blob is not None
-                else task_predictor(config, task)
-            )
-            METRICS.inc("sim.chunk_simulations")
-            bitmap = np.asarray(predictor.simulate(window), dtype=bool)
-            state = pickle.dumps(predictor, protocol=pickle.HIGHEST_PROTOCOL)
+            bitmap, state = _simulate_window(window, config, task, state)
     finally:
         del window
         try:
             handle.close()
         except BufferError:
             pass
-    return (
-        bitmap, state,
-        METRICS.snapshot(), TRACER.chrome_events(),
-        time.perf_counter() - begin,
+    return bitmap, state, _telemetry(begin)
+
+
+def _run_window_here(lab: Lab, task: str, start: int, stop: int, state):
+    """In-process attempt of one chunk window, on a zero-copy slice."""
+    bitmap, state = _simulate_window(
+        lab.trace[start:stop], lab.config, task, state
     )
-
-
-def _count_injected(kinds: Sequence[str]) -> None:
-    """Parent-side accounting of faults scheduled for an attempt."""
-    for kind in kinds:
-        METRICS.inc(f"resilience.faults.{kind}")
-        METRICS.inc("resilience.faults_injected")
+    return bitmap, state, None
 
 
 def _shutdown_pool(pool: ProcessPoolExecutor, kill: bool = False) -> None:
@@ -365,37 +389,104 @@ class WorkerPool:
         self.drain(kill=exc_info[0] is not None)
 
 
+class _InProcessPool:
+    """The ``jobs <= 1`` executor: runs each attempt as it is submitted.
+
+    It stands in for both :class:`WorkerPool` (``handle``/``rebuild``/
+    ``drain``) and its executor (``submit`` returns an already finished
+    future), so the supervisor drives it with the same loop.
+    """
+
+    def handle(self) -> "_InProcessPool":
+        return self
+
+    def rebuild(self) -> None:
+        pass
+
+    def drain(self, kill: bool = False) -> None:
+        pass
+
+    def submit(self, fn, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as error:
+            future.set_exception(error)
+        return future
+
+
+class _Lane:
+    """One ``(benchmark, task)`` chain of windows and its parent-side state.
+
+    ``spans`` is None for a whole-trace lane (one window), else the
+    ``(start, stop)`` chunk windows.  ``spec`` is the picklable job
+    prefix a worker needs (None in-process).  ``carry`` is what the last
+    finished window handed on: the pickled predictor state the next
+    chunk window resumes from, or, after a whole-trace window, the
+    digest of the trace the attempt simulated.  ``kinds`` are the
+    injected faults of the latest attempt.
+    """
+
+    def __init__(
+        self,
+        name: str,
+        task: str,
+        lab: Lab,
+        spans: Optional[List[Tuple[int, int]]],
+        spec: Optional[tuple],
+    ) -> None:
+        self.name = name
+        self.task = task
+        self.lab = lab
+        self.spans = spans
+        self.spec = spec
+        self.windows = 1 if spans is None else len(spans)
+        self.next = 0
+        self.carry = None
+        self.kinds: Tuple[str, ...] = ()
+        self.parts: list = []
+        self.telemetry: List[tuple] = []
+
+    @property
+    def done(self) -> bool:
+        return self.next == self.windows
+
+
 class _Supervisor:
-    """Drives one parallel priming pass: submit, retry, kill, rebuild."""
+    """Drives every lane of one priming pass: submit, retry, kill, rebuild.
+
+    A lane has at most one window in flight; windows of different lanes
+    run in parallel.  Each window submission is one attempt with its
+    own deadline and attempt budget.
+    """
 
     def __init__(
         self,
         jobs: int,
-        specs: Dict[Tuple[str, str], tuple],
-        order: Sequence[Tuple[str, str]],
+        lanes: Sequence[_Lane],
         policy: RetryPolicy,
         injector: Optional[FaultInjector],
         pool: Optional[WorkerPool] = None,
     ) -> None:
         self.jobs = jobs
-        self.specs = specs
         self.policy = policy
         self.injector = injector
-        self.ready = deque((key, 1) for key in order)
-        self.waiting: List[Tuple[float, int, Tuple[str, str], int]] = []
-        self.active: Dict[object, Tuple[Tuple[str, str], int, Optional[float]]] = {}
-        self.results: Dict[Tuple[str, str], tuple] = {}
+        self.local = jobs <= 1
+        self.ready = deque((lane, 1) for lane in lanes)
+        #: Heap of ``(ready_at, seq, lane, attempt)`` backing off.
+        self.waiting: List[Tuple[float, int, _Lane, int]] = []
+        self.active: Dict[Future, Tuple[_Lane, int, Optional[float]]] = {}
         self.failures: List[TaskFailure] = []
         self._seq = 0
         # A shared pool outlives this pass (the owning session drains
         # it); a private one is built on demand and reaped at the end.
         self._shared = pool is not None
-        self._pool = pool if pool is not None else WorkerPool(jobs)
+        if self.local:
+            self._pool = _InProcessPool()
+        else:
+            self._pool = pool if pool is not None else WorkerPool(jobs)
 
     # -- pool lifecycle ----------------------------------------------------
-
-    def _pool_handle(self) -> ProcessPoolExecutor:
-        return self._pool.handle()
 
     def _rebuild_pool(self) -> None:
         self._pool.rebuild()
@@ -411,73 +502,86 @@ class _Supervisor:
 
     # -- scheduling --------------------------------------------------------
 
-    def _spec_with_faults(self, key: Tuple[str, str], attempt: int) -> tuple:
-        name, task = key
-        kinds: Tuple[str, ...] = ()
-        if self.injector is not None:
-            kinds = self.injector.kinds(name, task, attempt)
-            _count_injected(kinds)
-        return self.specs[key] + (kinds,)
+    def _attempt(self, lane: _Lane) -> Future:
+        """Submit the lane's next window to the executor."""
+        executor = self._pool.handle()
+        if lane.spans is None:
+            if self.local:
+                return executor.submit(
+                    _run_task_here, lane.lab, lane.name, lane.task, lane.kinds
+                )
+            return executor.submit(_run_task, lane.spec + (lane.kinds,))
+        start, stop = lane.spans[lane.next]
+        if self.local:
+            return executor.submit(
+                _run_window_here, lane.lab, lane.task, start, stop, lane.carry
+            )
+        return executor.submit(_run_chunk, lane.spec + (start, stop, lane.carry))
 
-    def _submit(self, key: Tuple[str, str], attempt: int) -> None:
-        spec = self._spec_with_faults(key, attempt)
+    def _submit(self, lane: _Lane, attempt: int) -> None:
+        lane.kinds = ()
+        if self.injector is not None:
+            lane.kinds = self.injector.kinds(lane.name, lane.task, attempt)
+            for kind in lane.kinds:
+                METRICS.inc(f"resilience.faults.{kind}")
+                METRICS.inc("resilience.faults_injected")
         try:
-            future = self._pool_handle().submit(_run_task, spec)
+            future = self._attempt(lane)
         except BrokenProcessPool:
             # The pool broke between loops; rebuild once and resubmit.
             self._rebuild_pool()
-            future = self._pool_handle().submit(_run_task, spec)
+            future = self._attempt(lane)
         deadline = (
             time.monotonic() + self.policy.timeout
             if self.policy.timeout is not None
             else None
         )
-        self.active[future] = (key, attempt, deadline)
-
-    def _defer(self, key: Tuple[str, str], attempt: int) -> None:
-        """Queue the next attempt after its deterministic backoff."""
-        backoff = self.policy.backoff(attempt)
-        METRICS.inc("resilience.retries")
-        METRICS.add_time("resilience.backoff_seconds", backoff)
-        self._seq += 1
-        self.waiting.append(
-            (time.monotonic() + backoff, self._seq, key, attempt + 1)
-        )
+        self.active[future] = (lane, attempt, deadline)
 
     def _on_attempt_failure(
-        self, key: Tuple[str, str], attempt: int, kind: str, message: str
+        self, lane: _Lane, attempt: int, kind: str, message: str
     ) -> None:
         if kind == "timeout":
             METRICS.inc("resilience.timeouts")
         if attempt >= self.policy.max_attempts:
-            name, task = key
             METRICS.inc("resilience.task_failures")
             self.failures.append(
                 TaskFailure(
-                    benchmark=name,
-                    task=task,
+                    benchmark=lane.name,
+                    task=lane.task,
                     attempts=attempt,
                     kind=kind,
                     message=message,
                 )
             )
-        else:
-            self._defer(key, attempt)
+            return
+        # Queue the next attempt after its deterministic backoff.
+        backoff = self.policy.backoff(attempt)
+        METRICS.inc("resilience.retries")
+        METRICS.add_time("resilience.backoff_seconds", backoff)
+        self._seq += 1
+        heapq.heappush(
+            self.waiting,
+            (time.monotonic() + backoff, self._seq, lane, attempt + 1),
+        )
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> None:
         try:
             while self.ready or self.waiting or self.active:
-                self._promote_waiting()
+                now = time.monotonic()
+                while self.waiting and self.waiting[0][0] <= now:
+                    _, _, lane, attempt = heapq.heappop(self.waiting)
+                    self.ready.append((lane, attempt))
                 while self.ready and len(self.active) < self.jobs:
-                    key, attempt = self.ready.popleft()
-                    self._submit(key, attempt)
+                    lane, attempt = self.ready.popleft()
+                    self._submit(lane, attempt)
                 if not self.active:
                     # Everything left is backing off; sleep to the next
                     # ready time instead of spinning.
                     if self.waiting:
-                        next_at = min(entry[0] for entry in self.waiting)
+                        next_at = self.waiting[0][0]
                         time.sleep(max(0.0, next_at - time.monotonic()))
                     continue
                 done, _ = wait(
@@ -495,51 +599,48 @@ class _Supervisor:
         else:
             self.shutdown()
 
-    def _promote_waiting(self) -> None:
-        if not self.waiting:
-            return
-        now = time.monotonic()
-        self.waiting.sort()
-        while self.waiting and self.waiting[0][0] <= now:
-            _, _, key, attempt = self.waiting.pop(0)
-            self.ready.append((key, attempt))
-
     def _collect(self, done) -> bool:
-        """Harvest finished futures; False if the pool broke mid-batch."""
+        """Harvest finished attempts; False if the pool broke mid-batch."""
         for future in done:
-            key, attempt, _ = self.active.pop(future)
+            lane, attempt, _ = self.active.pop(future)
             try:
-                payload = future.result()
+                part, carry, telemetry = future.result()
             except BrokenProcessPool as error:
-                self._on_pool_broken(key, attempt, error)
+                self._on_pool_broken(lane, attempt, error)
                 return False
             except Exception as error:
+                kind = "timeout" if isinstance(error, TaskTimeout) else "error"
                 self._on_attempt_failure(
-                    key, attempt, "error", f"{type(error).__name__}: {error}"
+                    lane, attempt, kind, f"{type(error).__name__}: {error}"
                 )
             else:
-                self.results[key] = payload
+                lane.parts.append(part)
+                lane.carry = carry
+                if telemetry is not None:
+                    lane.telemetry.append(telemetry)
+                lane.next += 1
+                if not lane.done:
+                    self.ready.append((lane, 1))
         return True
 
-    def _on_pool_broken(self, key, attempt, error) -> None:
-        """A worker died hard; every in-flight job went down with it.
+    def _on_pool_broken(self, lane: _Lane, attempt: int, error) -> None:
+        """A worker died hard; every in-flight attempt went down with it.
 
         The culprit is unknowable from the parent, so every in-flight
-        attempt (the reporting future included) is charged one attempt
-        -- each job still gets its full retry budget, and a persistent
-        hard-crasher cannot rebuild the pool forever.
+        attempt (the reporting one included) is charged one attempt --
+        each lane still gets its full retry budget, resumes from its
+        parent-side carried state, and a persistent hard-crasher cannot
+        rebuild the pool forever.
         """
-        victims = [(key, attempt)]
-        for future, (other_key, other_attempt, _) in self.active.items():
+        victims = [(lane, attempt)]
+        for future, (other, other_attempt, _) in self.active.items():
             future.cancel()
-            victims.append((other_key, other_attempt))
+            victims.append((other, other_attempt))
         self.active.clear()
         self._rebuild_pool()
-        for victim_key, victim_attempt in victims:
+        for victim, victim_attempt in victims:
             self._on_attempt_failure(
-                victim_key,
-                victim_attempt,
-                "worker-lost",
+                victim, victim_attempt, "worker-lost",
                 f"worker pool broke: {error}",
             )
 
@@ -553,270 +654,23 @@ class _Supervisor:
         if not expired:
             return
         # A hung worker can only be reclaimed by killing the pool, which
-        # takes every in-flight job with it: timed-out attempts are
+        # takes every in-flight attempt with it: timed-out attempts are
         # charged and retried, innocents resubmitted at the same attempt.
         expired_futures = {future for future, _ in expired}
         innocents = [
-            (key, attempt)
-            for future, (key, attempt, _) in self.active.items()
+            (lane, attempt)
+            for future, (lane, attempt, _) in self.active.items()
             if future not in expired_futures
         ]
         self.active.clear()
         self._rebuild_pool()
-        for _, (key, attempt, _) in expired:
+        for _, (lane, attempt, _) in expired:
             self._on_attempt_failure(
-                key, attempt, "timeout",
+                lane, attempt, "timeout",
                 f"attempt exceeded {self.policy.timeout:.3f}s wall clock",
             )
-        for key, attempt in reversed(innocents):
-            self.ready.appendleft((key, attempt))
-
-
-class _ChunkScheduler:
-    """Chunk lanes over the pool: sequential per lane, parallel across.
-
-    A *lane* is one ``(benchmark, task)`` pair whose trace is folded
-    window by window: chunk ``k`` resumes from the predictor state
-    chunk ``k-1`` returned, so a lane is inherently sequential, but the
-    48 lanes of a full chunked report keep the pool busy.  The carried
-    state lives in the parent between chunks, which is what makes a
-    chunk attempt retryable -- a crashed worker costs one window, not
-    the lane.  A lane that exhausts one chunk's attempt budget becomes
-    a :class:`TaskFailure` and the lab computes that task lazily.
-    """
-
-    def __init__(
-        self,
-        jobs: int,
-        lanes: Dict[Tuple[str, str], dict],
-        order: Sequence[Tuple[str, str]],
-        policy: RetryPolicy,
-        pool: Optional[WorkerPool] = None,
-    ) -> None:
-        self.jobs = jobs
-        self.lanes = lanes
-        self.policy = policy
-        self.progress = {
-            key: {
-                "next": 0, "state": None, "parts": [],
-                "deltas": [], "events": [], "seconds": 0.0,
-            }
-            for key in order
-        }
-        self.ready = deque((key, 1) for key in order)
-        self.waiting: List[Tuple[float, int, Tuple[str, str], int]] = []
-        self.active: Dict[object, Tuple[Tuple[str, str], int]] = {}
-        self.results: Dict[Tuple[str, str], tuple] = {}
-        self.failures: List[TaskFailure] = []
-        self._seq = 0
-        self._shared = pool is not None
-        self._pool = pool if pool is not None else WorkerPool(jobs)
-
-    def _rebuild_pool(self) -> None:
-        self._pool.rebuild()
-        METRICS.inc("parallel.pool_rebuilds")
-
-    def shutdown(self, kill: bool = False) -> None:
-        if self._shared and not kill:
-            return
-        self._pool.drain(kill=kill)
-
-    def _submit(self, key: Tuple[str, str], attempt: int) -> None:
-        lane = self.lanes[key]
-        prog = self.progress[key]
-        start, stop = lane["spans"][prog["next"]]
-        spec = (
-            lane["shm"], lane["length"], start, stop,
-            lane["config"], key[1], prog["state"],
-        )
-        try:
-            future = self._pool.handle().submit(_run_chunk, spec)
-        except BrokenProcessPool:
-            self._rebuild_pool()
-            future = self._pool.handle().submit(_run_chunk, spec)
-        self.active[future] = (key, attempt)
-
-    def _defer(self, key: Tuple[str, str], attempt: int) -> None:
-        backoff = self.policy.backoff(attempt)
-        METRICS.inc("resilience.retries")
-        METRICS.add_time("resilience.backoff_seconds", backoff)
-        self._seq += 1
-        self.waiting.append(
-            (time.monotonic() + backoff, self._seq, key, attempt + 1)
-        )
-
-    def _on_attempt_failure(
-        self, key: Tuple[str, str], attempt: int, kind: str, message: str
-    ) -> None:
-        if attempt >= self.policy.max_attempts:
-            name, task = key
-            METRICS.inc("resilience.task_failures")
-            self.failures.append(
-                TaskFailure(
-                    benchmark=name,
-                    task=task,
-                    attempts=attempt,
-                    kind=kind,
-                    message=message,
-                )
-            )
-        else:
-            self._defer(key, attempt)
-
-    def _advance(self, key: Tuple[str, str], payload: tuple) -> None:
-        bitmap, state, delta, events, seconds = payload
-        lane = self.lanes[key]
-        prog = self.progress[key]
-        prog["parts"].append(bitmap)
-        prog["deltas"].append(delta)
-        prog["events"].extend(events)
-        prog["seconds"] += seconds
-        prog["state"] = state
-        prog["next"] += 1
-        if prog["next"] == len(lane["spans"]):
-            self.results[key] = (
-                np.concatenate(prog["parts"]),
-                prog["deltas"], prog["events"], prog["seconds"],
-            )
-        else:
-            self.ready.append((key, 1))
-
-    def run(self) -> None:
-        try:
-            while self.ready or self.waiting or self.active:
-                self._promote_waiting()
-                while self.ready and len(self.active) < self.jobs:
-                    key, attempt = self.ready.popleft()
-                    self._submit(key, attempt)
-                if not self.active:
-                    if self.waiting:
-                        next_at = min(entry[0] for entry in self.waiting)
-                        time.sleep(max(0.0, next_at - time.monotonic()))
-                    continue
-                done, _ = wait(
-                    list(self.active), timeout=_TICK,
-                    return_when=FIRST_COMPLETED,
-                )
-                self._collect(done)
-        except BaseException:
-            self.shutdown(kill=True)
-            raise
-        else:
-            self.shutdown()
-
-    def _promote_waiting(self) -> None:
-        if not self.waiting:
-            return
-        now = time.monotonic()
-        self.waiting.sort()
-        while self.waiting and self.waiting[0][0] <= now:
-            _, _, key, attempt = self.waiting.pop(0)
-            self.ready.append((key, attempt))
-
-    def _collect(self, done) -> None:
-        for future in done:
-            key, attempt = self.active.pop(future)
-            try:
-                payload = future.result()
-            except BrokenProcessPool as error:
-                self._on_pool_broken(key, attempt, error)
-                return
-            except Exception as error:
-                self._on_attempt_failure(
-                    key, attempt, "error", f"{type(error).__name__}: {error}"
-                )
-            else:
-                self._advance(key, payload)
-
-    def _on_pool_broken(self, key, attempt, error) -> None:
-        # Every in-flight chunk died with the pool; each lane's carried
-        # state is parent-side, so each is charged one attempt at its
-        # *current* chunk and resubmitted from exactly there.
-        victims = [(key, attempt)]
-        for future, (other_key, other_attempt) in self.active.items():
-            future.cancel()
-            victims.append((other_key, other_attempt))
-        self.active.clear()
-        self._rebuild_pool()
-        for victim_key, victim_attempt in victims:
-            self._on_attempt_failure(
-                victim_key, victim_attempt, "worker-lost",
-                f"worker pool broke: {error}",
-            )
-
-
-def _prime_chunked(
-    labs: Dict[str, Lab],
-    chunked: Sequence[Tuple[str, str]],
-    chunk_size: int,
-    jobs: int,
-    policy: RetryPolicy,
-    pool: Optional[WorkerPool],
-) -> Tuple[int, List[TaskFailure]]:
-    """Fold the chunkable lanes; returns ``(executed, failures)``.
-
-    ``jobs <= 1`` folds in-process over zero-copy windows; otherwise
-    each benchmark's columns are published to shared memory once and
-    the lanes run over the pool.  Either way the folded bitmaps are
-    bit-identical to the unchunked path, and the parent writes them
-    through each lab (and its cache) in deterministic lane order.
-    """
-    task_failures: List[TaskFailure] = []
-    executed = 0
-    if jobs <= 1:
-        for name, task in chunked:
-            lab = labs[name]
-            stream = TraceStream.from_trace(lab.trace, chunk_size)
-            try:
-                bitmap = chunked_bitmap(stream, lab.config, task)
-            except Exception as error:
-                METRICS.inc("resilience.task_failures")
-                task_failures.append(
-                    TaskFailure(
-                        benchmark=name, task=task, attempts=1, kind="error",
-                        message=f"{type(error).__name__}: {error}",
-                    )
-                )
-                continue
-            lab.store_correct(task, bitmap)
-            executed += 1
-        return executed, task_failures
-
-    from repro.analysis.shm import SharedTrace
-
-    shared: Dict[str, SharedTrace] = {}
-    try:
-        for name in sorted({name for name, _ in chunked}):
-            shared[name] = SharedTrace.create(labs[name].trace)
-        lanes = {
-            (name, task): {
-                "shm": shared[name].name,
-                "length": len(labs[name].trace),
-                "spans": chunk_spans(len(labs[name].trace), chunk_size),
-                "config": labs[name].config,
-            }
-            for name, task in chunked
-        }
-        scheduler = _ChunkScheduler(jobs, lanes, chunked, policy, pool)
-        scheduler.run()
-    finally:
-        for segment in shared.values():
-            segment.unlink()
-
-    # Deterministic fold: lane order, chunk order within each lane.
-    for key in chunked:
-        if key not in scheduler.results:
-            continue
-        bitmap, deltas, events, seconds = scheduler.results[key]
-        METRICS.inc("sim.chunked_simulations")
-        for delta in deltas:
-            METRICS.merge(delta)
-        METRICS.add_time("parallel.job_seconds", seconds)
-        TRACER.add_events(events)
-        name, task = key
-        labs[name].store_correct(task, bitmap)
-        executed += 1
-    return executed, scheduler.failures
+        for lane, attempt in reversed(innocents):
+            self.ready.appendleft((lane, attempt))
 
 
 def prime_labs(
@@ -860,23 +714,22 @@ def prime_labs(
             When given it overrides ``jobs``, stays warm after the pass
             (the owner drains it), and is shared with every other run
             of the same session.
-        chunk_branches: If set, fold every chunkable task
-            (:data:`~repro.analysis.streamed.CHUNKABLE_TASKS`) over
-            fixed windows of this many branches -- in-process for
-            ``jobs <= 1``, else as shared-memory chunk lanes on the
-            pool -- instead of whole-trace jobs.  Results are
-            bit-identical either way.  Ignored for traces no longer
-            than one chunk, and (because injected faults target whole
-            task attempts) whenever ``injector`` is set.
+        chunk_branches: If set, run every chunkable task
+            (:data:`~repro.analysis.streamed.CHUNKABLE_TASKS`) as a lane
+            of fixed windows of this many branches instead of one
+            whole-trace window.  Results are bit-identical either way.
+            Ignored for traces no longer than one chunk, and (because
+            injected faults target whole task attempts) whenever
+            ``injector`` is set.
         sources: Per-benchmark trace-source descriptors workers use to
             rematerialise job traces (see :func:`_worker_trace`); None
-            (or an absent name) means the legacy suite trace.  The
-            chunked path ignores this -- its windows ship from the
-            parent's columns over shared memory.
+            (or an absent name) means the legacy suite trace.  Chunk
+            windows ignore this -- they ship from the parent's columns
+            over shared memory.
 
     Returns:
-        The number of jobs that executed successfully (0 means
-        everything was cached).
+        The number of lanes that completed (0 means everything was
+        cached).
 
     Raises:
         FaultSpecError: If the fault spec injects hangs but the policy
@@ -904,93 +757,82 @@ def prime_labs(
     if not pending:
         return 0
 
-    chunked: List[Tuple[str, str]] = []
-    chunk_size = 0
+    # Injected faults target whole (benchmark, task) attempts; chunking
+    # would change that accounting, so an injector keeps every task on
+    # a whole-trace lane.
+    chunk_size = None
     if chunk_branches is not None and injector is None:
-        # Injected faults target whole (benchmark, task) attempts; the
-        # chunked path would change that accounting, so an injector
-        # forces every task through the unchunked scheduler.
         chunk_size = normalize_chunk_branches(chunk_branches)
-        chunked = [
-            (name, task)
-            for name, task in pending
-            if task in CHUNKABLE_TASKS and len(labs[name].trace) > chunk_size
-        ]
-        if chunked:
-            chunked_keys = set(chunked)
-            pending = [key for key in pending if key not in chunked_keys]
-
-    executed = 0
-    all_failures: List[TaskFailure] = []
-
-    if chunked:
+    local = jobs <= 1
+    cache_root = str(cache.root) if cache is not None else None
+    segments: Dict[str, SharedTrace] = {}
+    try:
+        lanes = []
+        for name, task in pending:
+            lab = labs[name]
+            n = len(lab.trace)
+            spans = None
+            if chunk_size is not None and task in CHUNKABLE_TASKS and n > chunk_size:
+                spans = chunk_spans(n, chunk_size)
+            if local:
+                spec = None
+            elif spans is None:
+                source = sources.get(name) if sources is not None else None
+                spec = (name, n, run_seed, lab.config, task, cache_root, source)
+            else:
+                if name not in segments:
+                    segments[name] = SharedTrace.create(lab.trace)
+                spec = (segments[name].name, n, lab.config, task)
+            lanes.append(_Lane(name, task, lab, spans, spec))
+        supervisor = _Supervisor(jobs, lanes, policy, injector, pool)
         with span(
-            "prime_chunked", jobs=jobs, lanes=len(chunked),
+            "prime_labs", jobs=jobs, pending=len(lanes),
             chunk_branches=chunk_size,
         ):
-            chunk_executed, chunk_failures = _prime_chunked(
-                labs, chunked, chunk_size, jobs, policy, pool
-            )
-        executed += chunk_executed
-        all_failures.extend(chunk_failures)
-
-    if pending and jobs <= 1:
-        with span("prime_labs", jobs=1, pending=len(pending)):
-            serial_executed, task_failures = _prime_serial_all(
-                labs, pending, policy, injector
-            )
-        executed += serial_executed
-        all_failures.extend(task_failures)
-    elif pending:
-        cache_root = str(cache.root) if cache is not None else None
-        job_specs = {
-            (name, task): (
-                name,
-                len(labs[name].trace),
-                run_seed,
-                labs[name].config,
-                task,
-                cache_root,
-                labs[name].config.collection_window,
-                sources.get(name) if sources is not None else None,
-            )
-            for name, task in pending
-        }
-        supervisor = _Supervisor(
-            jobs, job_specs, pending, policy, injector, pool=pool
-        )
-        with span("prime_labs", jobs=jobs, pending=len(pending)):
             supervisor.run()
+    finally:
+        for segment in segments.values():
+            segment.unlink()
 
-        # Fold in deterministic (sorted-name, task-order) order,
-        # verifying the worker simulated the same trace the lab holds.
-        # Metric deltas and span events fold in the same order, so
-        # aggregate telemetry is independent of worker scheduling.
-        for name, task in pending:
-            if (name, task) not in supervisor.results:
-                continue  # failed after retries; recorded below
-            _, _, digest, result, delta, events, duration = supervisor.results[
-                (name, task)
-            ]
-            METRICS.merge(delta)
-            METRICS.add_time("parallel.job_seconds", duration)
-            TRACER.add_events(events)
-            lab = labs[name]
-            if digest != lab.trace.digest():
+    # Fold in deterministic (sorted-name, task-order) order, verifying a
+    # whole-trace worker simulated the same trace the lab holds.  Metric
+    # deltas and span events fold in the same order, so aggregate
+    # telemetry is independent of worker scheduling.
+    executed = 0
+    for lane in lanes:
+        if not lane.done:
+            continue  # failed after retries; recorded below
+        lab = lane.lab
+        if lane.telemetry:
+            seconds = 0.0
+            for delta, events, duration in lane.telemetry:
+                METRICS.merge(delta)
+                TRACER.add_events(events)
+                seconds += duration
+            METRICS.add_time("parallel.job_seconds", seconds)
+        if lane.spans is None:
+            if lane.carry != lab.trace.digest():
                 # Worker regenerated a different trace (ad-hoc lab):
                 # discard and let the lab compute lazily.
                 continue
-            # Workers already wrote the shared cache; skip the second
-            # write.
-            write_through = cache is None
-            if task == CORRELATION_TASK:
-                lab.store_correlation(result, write_through=write_through)
-            else:
-                lab.store_correct(task, result, write_through=write_through)
-            executed += 1
-        all_failures.extend(supervisor.failures)
+            result = lane.parts[0]
+        else:
+            METRICS.inc("sim.chunked_simulations")
+            result = np.concatenate(lane.parts)
+        # Whole-trace workers already wrote the shared cache; skip the
+        # second write.
+        write_through = local or lane.spans is not None or cache is None
+        if lane.task == CORRELATION_TASK:
+            lab.store_correlation(result, write_through=write_through)
+        else:
+            lab.store_correct(lane.task, result, write_through=write_through)
+        if "corrupt" in lane.kinds and lab.cache is not None:
+            _corrupt_result_entry(
+                lab.cache, lab.trace.digest(), lane.task, lab.config
+            )
+        executed += 1
     METRICS.inc("parallel.jobs_executed", executed)
-    _report_failures(all_failures, failures)
+    _report_failures(supervisor.failures, failures)
     return executed
 
 
@@ -1002,72 +844,6 @@ def _report_failures(
         return
     for failure in sorted(task_failures, key=lambda f: (f.benchmark, f.task)):
         sink.append(failure.to_dict())
-
-
-def _prime_serial_all(
-    labs: Dict[str, Lab],
-    pending: Sequence[Tuple[str, str]],
-    policy: RetryPolicy,
-    injector: Optional[FaultInjector],
-) -> Tuple[int, List[TaskFailure]]:
-    """The in-process path: same retry/fault semantics, no executor.
-
-    Injected hangs cannot be preempted in-process, so they fail the
-    attempt as a timeout immediately -- keeping the attempt sequence
-    (and every resilience counter) identical to a parallel run under
-    the same fault spec.
-    """
-    executed = 0
-    task_failures: List[TaskFailure] = []
-    for name, task in pending:
-        lab = labs[name]
-        attempt = 1
-        while True:
-            kinds: Tuple[str, ...] = ()
-            if injector is not None:
-                kinds = injector.kinds(name, task, attempt)
-                _count_injected(kinds)
-            try:
-                if "crash" in kinds:
-                    raise InjectedCrash(f"injected crash: {name}/{task}")
-                if "hang" in kinds:
-                    raise TaskTimeout(
-                        f"injected hang: {name}/{task} (in-process)"
-                    )
-                result = compute_task(lab.trace, lab.config, task)
-            except Exception as error:
-                kind = "timeout" if isinstance(error, TaskTimeout) else "error"
-                if kind == "timeout":
-                    METRICS.inc("resilience.timeouts")
-                if attempt >= policy.max_attempts:
-                    METRICS.inc("resilience.task_failures")
-                    task_failures.append(
-                        TaskFailure(
-                            benchmark=name,
-                            task=task,
-                            attempts=attempt,
-                            kind=kind,
-                            message=f"{type(error).__name__}: {error}",
-                        )
-                    )
-                    break
-                backoff = policy.backoff(attempt)
-                METRICS.inc("resilience.retries")
-                METRICS.add_time("resilience.backoff_seconds", backoff)
-                time.sleep(backoff)
-                attempt += 1
-            else:
-                if task == CORRELATION_TASK:
-                    lab.store_correlation(result)
-                else:
-                    lab.store_correct(task, result)
-                if "corrupt" in kinds and lab.cache is not None:
-                    _corrupt_result_entry(
-                        lab.cache, lab.trace.digest(), task, lab.config
-                    )
-                executed += 1
-                break
-    return executed, task_failures
 
 
 def _fold_cached(lab: Lab, task: str) -> bool:

@@ -3,9 +3,9 @@
 Pickling a whole :class:`~repro.trace.trace.Trace` into every pool
 submission copies the columns once per job per worker; at paper scale
 (tens of millions of branches) that is the difference between flat and
-linear resident memory.  The chunked scheduler instead publishes each
+linear resident memory.  The chunk lanes instead publish each
 benchmark's columns once into a :class:`multiprocessing.shared_memory`
-segment and ships ``(segment name, window)`` tuples -- workers attach
+segment and ship ``(segment name, window)`` tuples -- workers attach
 and build zero-copy :class:`Trace` windows over the same physical
 pages.
 

@@ -5,11 +5,13 @@ Two consumers:
 * The chunked priming path (:func:`repro.analysis.parallel.prime_labs`
   with ``chunk_branches`` set) folds the *causal* simulation tasks --
   the ones whose kernels carry their predictor state across
-  ``simulate()`` calls -- window by window, in-process or across the
-  worker pool.  :data:`CHUNKABLE_TASKS` names them, derived from the
-  ``chunkable`` flag of their :data:`~repro.analysis.config.TASKS`
-  rows; :func:`chunked_bitmap` is the in-process fold and the reference
-  the contract/property tests compare against.
+  ``simulate()`` calls -- window by window, as chunk lanes in-process
+  or across the worker pool.  :data:`CHUNKABLE_TASKS` names them,
+  derived from the ``chunkable`` flag of their
+  :data:`~repro.analysis.config.TASKS` rows, and :func:`task_predictor`
+  builds each lane's first predictor; :func:`chunked_bitmap` is the
+  single-pass fold and the reference the contract/property tests
+  compare the lanes against.
 
 * :func:`stream_report` is the bounded-memory accuracy report behind
   ``benchmarks/check_rss.py`` and paper-scale runs: it never holds a

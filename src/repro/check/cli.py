@@ -94,8 +94,6 @@ def run_workers_pass_cli(entry: Optional[str]) -> List[Diagnostic]:
         return analyze_worker_safety()
     path, _, names = entry.partition(":")
     functions = tuple(n for n in names.split(",") if n) or None
-    if functions is None:
-        return analyze_worker_safety(entry_path=path)
     return analyze_worker_safety(entry_path=path, entry_functions=functions)
 
 
@@ -180,8 +178,9 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH[:FN1,FN2]",
         help="worker entry module (and optional entry function names) "
-             "for the workers pass (default: compute_task/_run_task in "
-             "the installed repro.analysis.parallel)",
+             "for the workers pass (default: the installed "
+             "repro.analysis.parallel; entry functions default to "
+             "compute_task plus every function it submits to a pool)",
     )
     parser.add_argument(
         "--format",

@@ -1,7 +1,8 @@
 """Worker-safety pass: hazards in code that crosses the process pool.
 
 The parallel scheduler's whole determinism argument rests on worker
-jobs being *pure*: :func:`repro.analysis.parallel._run_task` and
+jobs being *pure*: every attempt function the scheduler submits
+(:func:`repro.analysis.parallel._run_task`, ``_run_chunk``...) and
 :func:`~repro.analysis.parallel.compute_task` must be functions of the
 job spec alone, and the parent's fold must consume their results in a
 schedule-independent order.  Three source-level hazards break that
@@ -26,11 +27,13 @@ WS004  a whole :class:`~repro.trace.trace.Trace` handed to pool
        ``.whole()``: every submit re-pickles the full column arrays
        into each worker.  Ship the spill file path or a
        ``multiprocessing.shared_memory`` segment name instead (the
-       chunk scheduler's protocol).
+       chunk lanes' protocol).
 ====== =================================================================
 
-Reachability is computed statically from the AST: starting at the entry
-functions, the pass follows direct calls (``f(...)``, ``mod.f(...)``),
+Reachability is computed statically from the AST.  The entry functions
+are derived, not listed: every module-level function the entry module
+passes to a pool-submission call, plus ``compute_task``.  From them the
+pass follows direct calls (``f(...)``, ``mod.f(...)``),
 ``self.method()`` calls inside classes, constructor calls plus
 local-variable method calls (``cache = ResultCache(...);
 cache.load_trace(...)``), and bare function references passed as
@@ -62,8 +65,12 @@ from repro.check.diagnostics import ERROR, Diagnostic, sort_diagnostics
 #: deterministic order, so mutating them is the *protocol*, not a bug.
 WORKER_SAFE_GLOBALS = frozenset({"METRICS", "TRACER"})
 
-#: Worker entry points: (dotted module, function names).
-DEFAULT_ENTRY = ("repro.analysis.parallel", ("compute_task", "_run_task"))
+#: Module holding the worker entry points (dotted).
+DEFAULT_ENTRY_MODULE = "repro.analysis.parallel"
+
+#: Entry point seeded besides the submitted functions: the computation
+#: every whole-trace attempt (and the lab's lazy path) runs through.
+CORE_ENTRY = "compute_task"
 
 #: Kernel modules whose ``simulate_*`` functions are seeded as extra
 #: entry points in the default analysis: they run inside pool workers
@@ -405,17 +412,42 @@ def _lookup(module: _Module, qualname: str) -> Optional[ast.FunctionDef]:
     return module.functions.get(qualname)
 
 
+def _entry_points(module: _Module) -> Tuple[str, ...]:
+    """``compute_task`` plus every function ``module`` submits to a pool.
+
+    A submitted function is a module-level function of ``module`` passed
+    by name to a pool-submission call (``executor.submit(_run_chunk,
+    job)``), so a new attempt function is analysed the moment the
+    scheduler submits it -- no hand-kept list to fall out of date.
+    """
+    submitted = set()
+    for node in ast.walk(module.tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _SUBMIT_METHODS
+        ):
+            continue
+        for arg in list(node.args) + [kw.value for kw in node.keywords]:
+            if isinstance(arg, ast.Name) and arg.id in module.functions:
+                submitted.add(arg.id)
+    submitted.discard(CORE_ENTRY)
+    return (CORE_ENTRY,) + tuple(sorted(submitted))
+
+
 def analyze_worker_safety(
     entry_path: Optional[str] = None,
-    entry_functions: Sequence[str] = DEFAULT_ENTRY[1],
+    entry_functions: Optional[Sequence[str]] = None,
     package_root: Optional[str] = None,
 ) -> List[Diagnostic]:
-    """WS001/WS002/WS003 over everything reachable from the entry points.
+    """WS001-WS004 over everything reachable from the entry points.
 
     Args:
         entry_path: Module file holding the worker entry points
             (default: the installed ``repro/analysis/parallel.py``).
-        entry_functions: Names of the entry functions within it.
+        entry_functions: Names of the entry functions within it
+            (default: ``compute_task`` plus every module-level function
+            that module passes to a pool-submission call).
         package_root: ``src``-style root used to resolve ``repro.*``
             imports (default: the installed package's parent).
     """
@@ -424,7 +456,7 @@ def analyze_worker_safety(
     entry_file = (
         Path(entry_path)
         if entry_path
-        else root / Path(*DEFAULT_ENTRY[0].split(".")).with_suffix(".py")
+        else root / Path(*DEFAULT_ENTRY_MODULE.split(".")).with_suffix(".py")
     )
     entry_module = index.load(entry_file)
     if entry_module is None:
@@ -434,6 +466,8 @@ def analyze_worker_safety(
                     "not analysable",
             location=f"{entry_file}:0",
         )]
+    if entry_functions is None:
+        entry_functions = _entry_points(entry_module)
 
     diagnostics: List[Diagnostic] = []
     queue: deque = deque()

@@ -39,7 +39,7 @@ longer than the window expands into per-chunk tasks
 (``p0/sim/gcc/gshare/c0`` .. ``c{K-1}``), each depending on its
 predecessor chunk -- the carried predictor state makes the fold
 sequential within a (benchmark, task) lane -- while distinct lanes stay
-independent, which is exactly the parallelism the chunk scheduler
+independent, which is exactly the parallelism the lane supervisor
 exploits.  Downstream experiment tasks depend on each lane's final
 chunk, the task whose completion materialises the whole-trace bitmap.
 Chunking is an execution knob, not identity: chunk task keys embed the

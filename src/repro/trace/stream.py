@@ -597,39 +597,19 @@ def write_text_trace(trace: Trace, path: PathLike) -> None:
 
 
 def read_text_trace(path: PathLike) -> Trace:
-    """Parse the text format written by :func:`write_text_trace`.
+    """Parse a text trace into memory.
 
-    Accepts decimal or hex addresses and ``T/N``, ``1/0``,
-    ``taken/not-taken`` outcome spellings; blank and ``#`` lines are
-    skipped.
+    The grammar is the ``text`` ingest format (:mod:`repro.trace.ingest`):
+    ``pc taken`` or ``pc target taken`` per line, decimal or hex
+    addresses, ``T/N``, ``1/0`` or ``taken/not-taken`` outcomes, blank
+    and ``#`` lines skipped.  Every rejection -- a missing or unreadable
+    file included -- is an :class:`~repro.errors.IngestError` naming the
+    offending ``path:line``.
     """
-    from repro.trace.trace import TraceBuilder
+    from repro.trace.ingest import _parse_text
 
-    taken_words = {"t": True, "1": True, "taken": True,
-                   "n": False, "0": False, "not-taken": False}
-    builder = TraceBuilder()
-    with open(path) as fh:
-        for line_number, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise TraceFormatError(
-                    f"{path}:{line_number}: expected 'pc target taken', "
-                    f"got {text!r}"
-                )
-            try:
-                pc = int(parts[0], 0)
-                target = int(parts[1], 0)
-            except ValueError:
-                raise TraceFormatError(
-                    f"{path}:{line_number}: bad address in {text!r}"
-                ) from None
-            outcome = taken_words.get(parts[2].lower())
-            if outcome is None:
-                raise TraceFormatError(
-                    f"{path}:{line_number}: bad outcome {parts[2]!r}"
-                )
-            builder.append(pc, target, outcome)
-    return builder.build()
+    batches = list(_parse_text(path))
+    if not batches:
+        return Trace.empty()
+    pc, target, taken = (np.concatenate(column) for column in zip(*batches))
+    return Trace(pc, target, taken)

@@ -1,9 +1,11 @@
 """Tests for the worker-safety pass (repro.check.workers)."""
 
+import shutil
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.check.diagnostics import ERROR
 from repro.check.workers import WORKER_SAFE_GLOBALS, analyze_worker_safety
 
@@ -22,6 +24,34 @@ def by_code(diagnostics, code):
 class TestRealTreeIsClean:
     def test_shipped_scheduler_passes(self):
         assert analyze_worker_safety() == []
+
+    def test_default_entry_reaches_every_submitted_attempt(self, tmp_path):
+        # The entry set is derived from the scheduler's pool
+        # submissions, so the chunk-window worker and the predictor
+        # factory it calls are analysed, not just the whole-trace path:
+        # seed a set iteration into each on a copy of the package.
+        package = tmp_path / "repro"
+        shutil.copytree(
+            Path(repro.__file__).parent, package,
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        seeds = {
+            package / "analysis" / "parallel.py": "def _run_chunk(job: tuple):\n",
+            package / "analysis" / "streamed.py":
+                "def task_predictor(config: LabConfig, task: str):\n",
+        }
+        for path, header in seeds.items():
+            source = path.read_text(encoding="utf-8")
+            assert header in source
+            path.write_text(
+                source.replace(header, header + "    sorted(x for x in {task})\n"),
+                encoding="utf-8",
+            )
+        findings = analyze_worker_safety(package_root=str(tmp_path))
+        assert sorted(
+            (Path(diag.location.rsplit(":", 1)[0]).name, diag.code)
+            for diag in findings
+        ) == [("parallel.py", "WS003"), ("streamed.py", "WS003")]
 
     def test_telemetry_singletons_are_allowlisted(self):
         # The delta-shipping protocol depends on these staying exempt.

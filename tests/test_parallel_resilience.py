@@ -3,15 +3,22 @@
 The determinism contract under test: the same fault spec produces the
 same attempt sequence, the same resilience counters and the same folded
 results whether the engine runs in-process (``jobs=1``) or across
-worker processes (``jobs=4``).
+worker processes (``jobs=4``) -- for whole-trace lanes and for chunk
+lanes, whose every window is one attempt with its own deadline and
+retry budget.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import time
+
 import numpy as np
 import pytest
 
-from repro.analysis.parallel import prime_labs
+from repro.analysis.config import TASKS
+from repro.analysis.parallel import compute_task, prime_labs
 from repro.experiments.base import build_labs
 from repro.obs.metrics import METRICS
 from repro.resilience.faults import FaultInjector, FaultSpecError
@@ -189,3 +196,102 @@ class TestBackoffAccounting:
         for total in totals:
             assert total["seconds"] == pytest.approx(expected)
             assert total["count"] == 2
+
+
+#: Window size for the chunk-lane tests: every SMALL trace spans several.
+CHUNK = 512
+
+
+class FlakyPredictor:
+    """Wraps a predictor whose second window misbehaves, once per run.
+
+    "Once" is a flag file, so it holds across worker processes; the
+    call count rides in the pickled carried state, so the retry of the
+    failed window resumes with the count the previous window left.
+    """
+
+    def __init__(self, inner, flag, mode):
+        self.inner = inner
+        self.flag = str(flag)
+        self.mode = mode
+        self.calls = 0
+
+    def simulate(self, trace):
+        self.calls += 1
+        if self.calls == 2 and not os.path.exists(self.flag):
+            open(self.flag, "w").close()
+            if self.mode == "raise":
+                raise RuntimeError("flaky window")
+            time.sleep(30)
+        return self.inner.simulate(trace)
+
+
+def make_gshare_flaky(monkeypatch, flag, mode):
+    # Pool workers are forked (the Linux default start method), so a row
+    # patched before the pool starts is the row every worker sees.
+    row = TASKS["gshare"]
+    monkeypatch.setitem(
+        TASKS, "gshare",
+        dataclasses.replace(
+            row, build=lambda c: FlakyPredictor(row.build(c), flag, mode)
+        ),
+    )
+
+
+@pytest.fixture()
+def whole_gshare():
+    """Whole-trace 'gshare' bitmaps, computed before any patching."""
+    labs = build_labs(SMALL)
+    return {
+        name: compute_task(lab.trace, lab.config, "gshare")
+        for name, lab in labs.items()
+    }
+
+
+def prime_chunked_gshare(jobs, policy):
+    labs = build_labs(SMALL)
+    failures = []
+    baseline = METRICS.snapshot()
+    prime_labs(
+        labs, jobs=jobs, tasks=("gshare",), chunk_branches=CHUNK,
+        policy=policy, failures=failures,
+    )
+    delta = METRICS.delta_since(baseline)
+    assert failures == []
+    assert delta["counters"]["sim.chunked_simulations"] == len(labs)
+    return labs, resilience_counters(delta)
+
+
+class TestChunkLanes:
+    def test_over_long_window_is_charged_timeout_and_retried(
+        self, tmp_path, monkeypatch, whole_gshare
+    ):
+        make_gshare_flaky(monkeypatch, tmp_path / "flag", "hang")
+        labs, counters = prime_chunked_gshare(
+            2, RetryPolicy(max_attempts=2, timeout=2.0, **FAST)
+        )
+        assert counters["resilience.timeouts"] == 1
+        assert counters["resilience.retries"] == 1
+        for name, lab in labs.items():
+            assert np.array_equal(lab.correct("gshare"), whole_gshare[name])
+
+    def test_window_that_raises_once_is_retried_in_process(
+        self, tmp_path, monkeypatch, whole_gshare
+    ):
+        make_gshare_flaky(monkeypatch, tmp_path / "flag", "raise")
+        labs, counters = prime_chunked_gshare(
+            1, RetryPolicy(max_attempts=3, **FAST)
+        )
+        assert counters == {"resilience.retries": 1}
+        for name, lab in labs.items():
+            assert np.array_equal(lab.correct("gshare"), whole_gshare[name])
+
+    def test_serial_and_parallel_counters_match(self, tmp_path, monkeypatch):
+        deltas = []
+        for jobs in (1, 2):
+            make_gshare_flaky(monkeypatch, tmp_path / f"flag{jobs}", "raise")
+            _, counters = prime_chunked_gshare(
+                jobs, RetryPolicy(max_attempts=3, **FAST)
+            )
+            deltas.append(counters)
+        assert deltas[0] == deltas[1] == {"resilience.retries": 1}

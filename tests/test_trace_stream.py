@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import IngestError
 from repro.trace.stream import (
     BPT2Writer,
     HEADER2_SIZE,
@@ -313,8 +314,8 @@ class TestTextFormat:
         from repro.trace.stream import read_text_trace
 
         path = tmp_path / "m.txt"
-        path.write_text("0x10 T\n")
-        with pytest.raises(TraceFormatError, match="expected"):
+        path.write_text("0x10\n")
+        with pytest.raises(IngestError, match="expected"):
             read_text_trace(path)
 
     def test_bad_address_rejected(self, tmp_path):
@@ -322,7 +323,7 @@ class TestTextFormat:
 
         path = tmp_path / "a.txt"
         path.write_text("zork 0x20 T\n")
-        with pytest.raises(TraceFormatError, match="bad address"):
+        with pytest.raises(IngestError, match="bad address"):
             read_text_trace(path)
 
     def test_bad_outcome_rejected(self, tmp_path):
@@ -330,7 +331,7 @@ class TestTextFormat:
 
         path = tmp_path / "o.txt"
         path.write_text("0x10 0x20 maybe\n")
-        with pytest.raises(TraceFormatError, match="bad outcome"):
+        with pytest.raises(IngestError, match="bad outcome"):
             read_text_trace(path)
 
     def test_tools_accept_text_traces(self, tmp_path, capsys):
@@ -340,6 +341,40 @@ class TestTextFormat:
         assert main(["generate", "compress", "-o", str(path), "--length", "500"]) == 0
         assert main(["stats", str(path)]) == 0
         assert "dynamic branches:        500" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "content, match",
+        [
+            (b"0x10 0x14 T\n0x10000000000000000 0x14 T\n", "out of uint64 range"),
+            (b"0x10 0x14 T\n-16 0x14 T\n", "out of uint64 range"),
+            (b"0x10 0x14 T\n\xff\xfe 0x14 T\n", "bad address"),
+        ],
+        ids=["65-bit-address", "negative-address", "undecodable-bytes"],
+    )
+    def test_bad_input_is_a_located_ingest_error(
+        self, tmp_path, capsys, content, match
+    ):
+        from repro.tools import main
+        from repro.trace.stream import read_text_trace
+
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        with pytest.raises(IngestError, match=match) as info:
+            read_text_trace(path)
+        assert f"{path}:2:" in str(info.value)
+        assert main(["stats", str(path)]) == 2
+        assert f"{path}:2:" in capsys.readouterr().err
+
+    def test_missing_file_is_an_ingest_error(self, tmp_path, capsys):
+        from repro.tools import main
+        from repro.trace.stream import read_text_trace
+
+        path = tmp_path / "absent.txt"
+        with pytest.raises(IngestError, match="cannot read trace file") as info:
+            read_text_trace(path)
+        assert str(path) in str(info.value)
+        assert main(["stats", str(path)]) == 2
+        assert f"{path}: cannot read trace file" in capsys.readouterr().err
 
 
 class TestLargeRoundTrips:
