@@ -31,7 +31,7 @@ on real experiment data:
     closures handed to pool submission, and unsorted set iteration in
     code reachable from the multiprocess ``compute_task`` entry points.
 
-Run all five with ``python -m repro check`` (or ``repro-tools check``).
+Run all five with ``python -m repro check``.
 """
 
 from repro.check.diagnostics import (

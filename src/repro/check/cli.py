@@ -1,4 +1,4 @@
-"""``python -m repro check`` / ``repro-tools check``: run all passes.
+"""``python -m repro check``: run all passes.
 
 Examples::
 
@@ -51,7 +51,7 @@ def run_ir_pass() -> List[Diagnostic]:
 def run_contracts_pass(trace_length: int) -> List[Diagnostic]:
     """Introspective audits plus dynamic checks over the registry."""
     from repro.check.contracts import (
-        check_kernel_bindings,
+        check_kernel_coverage,
         check_predictor_classes,
         check_registry,
         run_contract_suite,
@@ -61,8 +61,8 @@ def run_contracts_pass(trace_length: int) -> List[Diagnostic]:
 
     diagnostics = check_predictor_classes()
     diagnostics.extend(check_registry())
-    diagnostics.extend(check_kernel_bindings())
     trace = load_benchmark("compress", length=trace_length)
+    diagnostics.extend(check_kernel_coverage(trace))
     for spec_name in sorted(PREDICTOR_REGISTRY):
         factory = PREDICTOR_REGISTRY[spec_name]
         try:

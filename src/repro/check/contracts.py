@@ -26,8 +26,9 @@ duplicate class name, PC004 registry entry broken, PC005 duplicate
 registry instance name, PC006 ``predict`` mutated state, PC007
 predict/update interleaving violation, PC008 nondeterministic replay,
 PC009 ``simulate()`` fast path diverges from the generic replay, PC010
-kernel-binding audit (:func:`check_kernel_bindings`): every exported
-``simulate_*`` kernel must be bound to a registry spec so the PC009
+kernel-coverage audit (:func:`check_kernel_coverage`): every exported
+``simulate_*`` kernel must be reached by some registry entry's
+``simulate()`` -- the map is derived by running them -- so the PC009
 dynamic check exercises it, PC011 chunked-fold divergence
 (:func:`check_chunked_fold`): splitting a trace and chaining
 ``simulate()`` over the windows must reproduce the whole-trace bitmap
@@ -308,57 +309,58 @@ def check_registry() -> List[Diagnostic]:
     return sort_diagnostics(diagnostics)
 
 
-def check_kernel_bindings() -> List[Diagnostic]:
+def check_kernel_coverage(trace: Trace) -> List[Diagnostic]:
     """PC010: every exported simulate kernel is under PC009 coverage.
 
-    Audits :data:`repro.sim.KERNEL_BINDINGS` against the kernel modules
-    and the predictor registry: every module-level ``simulate_*``
-    function exported by :mod:`repro.sim` must map to an existing
-    ``PREDICTOR_REGISTRY`` spec (whose contract-suite run dynamically
-    checks the kernel), and every binding must name a kernel that still
-    exists.  An unregistered or stale kernel fails ``repro check``.
+    The kernel map is derived, not declared: each ``simulate_*``
+    function exported by :mod:`repro.sim` is swapped, in its defining
+    module, for a recorder while every ``PREDICTOR_REGISTRY`` entry's
+    default instance simulates ``trace``.  Predictors import their
+    kernel from that module at call time, so the recorder sees exactly
+    the kernels the registry reaches -- the ones the PC009 contract run
+    checks.  An exported kernel no entry reaches fails ``repro check``.
     """
     import repro.sim as sim
-    from repro.sim import KERNEL_BINDINGS
 
-    diagnostics: List[Diagnostic] = []
     exported = sorted(
         name for name in getattr(sim, "__all__", dir(sim))
         if name.startswith("simulate_")
     )
-    for kernel_name in exported:
-        location = f"repro.sim.{kernel_name}"
-        spec_name = KERNEL_BINDINGS.get(kernel_name)
-        if spec_name is None:
-            diagnostics.append(Diagnostic(
-                code="PC010", severity=ERROR,
-                message=(
-                    "kernel is exported but has no KERNEL_BINDINGS entry; "
-                    "bind it to a registry spec so the PC009 contract "
-                    "check covers it"
-                ),
-                location=location,
-            ))
-            continue
-        if spec_name not in PREDICTOR_REGISTRY:
-            diagnostics.append(Diagnostic(
-                code="PC010", severity=ERROR,
-                message=(
-                    f"kernel is bound to registry spec {spec_name!r}, "
-                    "which does not exist in PREDICTOR_REGISTRY"
-                ),
-                location=location,
-            ))
-    for kernel_name in sorted(set(KERNEL_BINDINGS) - set(exported)):
-        diagnostics.append(Diagnostic(
+    reached = set()
+    patched = []
+    for name in exported:
+        kernel = getattr(sim, name)
+        module = importlib.import_module(kernel.__module__)
+
+        def recorder(*args, _name=name, _kernel=kernel, **kwargs):
+            reached.add(_name)
+            return _kernel(*args, **kwargs)
+
+        patched.append((module, name, kernel))
+        setattr(module, name, recorder)
+    try:
+        for spec_name in sorted(PREDICTOR_REGISTRY):
+            try:
+                instance = PREDICTOR_REGISTRY[spec_name]()
+            except Exception:  # noqa: BLE001 - PC004 reports it
+                continue
+            _prepare(instance, trace).simulate(trace)
+    finally:
+        for module, name, kernel in patched:
+            setattr(module, name, kernel)
+    return [
+        Diagnostic(
             code="PC010", severity=ERROR,
             message=(
-                "stale KERNEL_BINDINGS entry: no exported kernel by "
-                "this name in repro.sim"
+                "kernel is exported but no PREDICTOR_REGISTRY entry's "
+                "simulate() reaches it, so the PC009 contract check "
+                "does not cover it"
             ),
-            location=f"repro.sim.{kernel_name}",
-        ))
-    return sort_diagnostics(diagnostics)
+            location=f"repro.sim.{name}",
+        )
+        for name in exported
+        if name not in reached
+    ]
 
 
 def _prepare(instance: BranchPredictor, trace: Trace) -> BranchPredictor:

@@ -24,6 +24,10 @@ Examples::
     repro sweep --experiments fig9 --axis gshare_history_bits=8,16
     repro sweep spec.json --axis mix.noise=0,1,2   # workload-mix sweep
     repro ingest trace.txt --emit-spec spec.json   # foreign traces
+    repro generate gcc -o gcc.bpt --length 50000   # write a trace file
+    repro stats gcc.bpt                            # summarise it
+    repro simulate gcc.bpt --predictor gshare:history_bits=12
+    repro interference gcc.bpt                     # gshare PHT conflicts
     repro serve --port 8023      # analysis-as-a-service daemon
     repro submit spec.json --server http://127.0.0.1:8023
     repro obs show run_manifest.json   # inspect/validate a manifest
@@ -95,8 +99,9 @@ def _parser() -> argparse.ArgumentParser:
             f"experiment ids ({', '.join(EXPERIMENT_IDS)}), extension ids "
             f"({', '.join(EXTENSION_IDS)}), 'all' (paper artefacts), "
             "'report' (alias for all), 'extensions', 'cache' "
-            "(stats|clear), 'obs' (show|validate|diff), or 'check' "
-            "(static verification)"
+            "(stats|clear), 'obs' (show|validate|diff), 'check' "
+            "(static verification), or a trace-file command "
+            "(generate|stats|simulate|interference)"
         ),
     )
     parser.add_argument(
@@ -660,6 +665,155 @@ def _plan_main(argv: List[str]) -> int:
     return 0
 
 
+def _read_any_trace(path: str):
+    """Read a trace by extension: .txt/.trace = text, otherwise binary."""
+    from repro.trace.stream import read_text_trace, read_trace
+
+    if path.endswith((".txt", ".trace")):
+        return read_text_trace(path)
+    return read_trace(path)
+
+
+def _generate_main(argv: List[str]) -> int:
+    """``repro generate``: write one benchmark trace to a file."""
+    from repro.trace.stream import write_text_trace, write_trace
+    from repro.workloads.suite import BENCHMARK_NAMES, load_benchmark
+
+    parser = argparse.ArgumentParser(
+        prog="repro generate",
+        description=(
+            "Generate a benchmark trace to a .bpt file (.txt/.trace "
+            "names get the text format), through the result cache's "
+            "trace store."
+        ),
+    )
+    parser.add_argument("benchmark", choices=BENCHMARK_NAMES)
+    parser.add_argument("-o", "--output", required=True)
+    parser.add_argument("--length", type=int, default=None)
+    parser.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED,
+        help="workload execution seed (the 'input data set')",
+    )
+    parser.add_argument(
+        "--cache-dir", metavar="DIR", default=None,
+        help="result-cache directory (default: REPRO_CACHE_DIR or .repro-cache)",
+    )
+    parser.add_argument(
+        "--no-cache", action="store_true",
+        help="bypass the on-disk result cache entirely",
+    )
+    args = parser.parse_args(argv)
+    trace = None
+    cache = None
+    if not args.no_cache:
+        from repro.analysis.cache import ResultCache
+
+        cache = ResultCache(args.cache_dir)
+        trace = cache.load_trace(args.benchmark, args.length, args.seed)
+    if trace is None:
+        trace = load_benchmark(
+            args.benchmark, length=args.length, run_seed=args.seed
+        )
+        if cache is not None:
+            cache.store_trace(args.benchmark, args.length, args.seed, trace)
+    if args.output.endswith((".txt", ".trace")):
+        write_text_trace(trace, args.output)
+    else:
+        write_trace(trace, args.output)
+    print(f"wrote {len(trace)} branches to {args.output}")
+    return 0
+
+
+def _stats_main(argv: List[str]) -> int:
+    """``repro stats``: summarise one trace file."""
+    from repro.trace.stats import compute_statistics
+
+    parser = argparse.ArgumentParser(
+        prog="repro stats", description="Summarise a trace file."
+    )
+    parser.add_argument("trace")
+    args = parser.parse_args(argv)
+    stats = compute_statistics(_read_any_trace(args.trace))
+    print(f"dynamic branches:        {stats.num_dynamic}")
+    print(f"static branches:         {stats.num_static}")
+    print(f"taken rate:              {stats.taken_rate:.4f}")
+    print(f"backward-branch rate:    {stats.backward_rate:.4f}")
+    print(f"ideal-static accuracy:   {stats.ideal_static_accuracy * 100:.2f}%")
+    print(
+        f">99%-biased dyn fraction: "
+        f"{stats.biased_99_dynamic_fraction * 100:.2f}%"
+    )
+    return 0
+
+
+def _simulate_main(argv: List[str]) -> int:
+    """``repro simulate``: run predictor specs over one trace file."""
+    from repro.predictors import parse_predictor_spec
+
+    parser = argparse.ArgumentParser(
+        prog="repro simulate",
+        description="Run predictors over a trace file.",
+    )
+    parser.add_argument("trace")
+    parser.add_argument(
+        "--predictor", action="append", default=None,
+        help=(
+            "predictor spec name[:key=value,...]; repeatable (default: "
+            "gshare and pas:history_bits=6,bht_bits=12)"
+        ),
+    )
+    args = parser.parse_args(argv)
+    # Every spec is validated before the (possibly large) trace is read.
+    predictors = [
+        parse_predictor_spec(spec)
+        for spec in args.predictor
+        or ["gshare", "pas:history_bits=6,bht_bits=12"]
+    ]
+    trace = _read_any_trace(args.trace)
+    print(f"{args.trace}: {len(trace)} dynamic branches")
+    for predictor in predictors:
+        print(f"  {predictor.name:28s} {predictor.accuracy(trace) * 100:6.2f}%")
+    return 0
+
+
+def _interference_main(argv: List[str]) -> int:
+    """``repro interference``: gshare PHT interference on one trace file."""
+    from repro.analysis.interference import measure_gshare_interference
+
+    parser = argparse.ArgumentParser(
+        prog="repro interference",
+        description="Measure gshare PHT interference on a trace file.",
+    )
+    parser.add_argument("trace")
+    parser.add_argument("--history-bits", type=int, default=16)
+    parser.add_argument("--pht-bits", type=int, default=16)
+    args = parser.parse_args(argv)
+    report = measure_gshare_interference(
+        _read_any_trace(args.trace), args.history_bits, args.pht_bits
+    )
+    print(f"gshare {args.history_bits}h/{args.pht_bits}p on {args.trace}:")
+    print(f"  conflict access rate:        {report.conflict_rate * 100:.2f}%")
+    print(
+        f"  misprediction on conflicts:  "
+        f"{report.conflict_misprediction_rate * 100:.2f}%"
+    )
+    print(
+        f"  misprediction on private:    "
+        f"{report.private_misprediction_rate * 100:.2f}%"
+    )
+    print(f"  PHT occupancy:               {report.occupancy * 100:.2f}%")
+    return 0
+
+
+#: The trace-file commands, each with its own parser.
+_TRACE_COMMANDS = {
+    "generate": _generate_main,
+    "stats": _stats_main,
+    "simulate": _simulate_main,
+    "interference": _interference_main,
+}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     if argv is None:
@@ -675,6 +829,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _plan_main(argv[1:])
     if argv and argv[0] == "ingest":
         return _ingest_main(argv[1:])
+    if argv and argv[0] in _TRACE_COMMANDS:
+        try:
+            return _TRACE_COMMANDS[argv[0]](argv[1:])
+        except (ValueError, OSError) as error:
+            # IngestError and SpecError are ValueErrors: an unreadable
+            # trace, a bad predictor spec or an unwritable output is a
+            # usage error.
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     if argv and argv[0] == "serve":
         from repro.serve import main as serve_main
 

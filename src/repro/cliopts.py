@@ -1,4 +1,4 @@
-"""Shared engine options for every ``repro`` / ``repro-tools`` command.
+"""Shared engine options for the ``repro`` engine commands.
 
 The simulation engine grew one flag at a time (``--jobs`` on the report
 runner, ``--seed`` here, ``--cache-dir`` there), so the same knob was
@@ -20,14 +20,15 @@ lists it in ``parents=[...]`` --
 * ``--chunk-branches`` -- streamed simulation window
   (``REPRO_CHUNK_BRANCHES``; see ``docs/performance.md``).
 
-Commands that have no use for a given flag still *accept* it (uniform
-interface); they simply ignore it.
+Engine commands that have no use for a given flag still *accept* it
+(uniform interface); they simply ignore it.  The trace-file commands
+(``repro generate|stats|simulate|interference``) run no engine and
+take only the arguments they use.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 
 #: The seed every command uses unless told otherwise.
 DEFAULT_SEED = 12345
@@ -154,22 +155,3 @@ def fault_spec_from_args(args: argparse.Namespace):
         return None
     return ",".join(entries)
 
-
-def write_observability_outputs(args: argparse.Namespace) -> None:
-    """Honour ``--metrics-out`` / ``--trace-out`` after a command ran.
-
-    Writes the *process-global* metric snapshot and span buffer, which
-    for a CLI invocation is exactly the command's telemetry.
-    """
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
-        from repro.obs.metrics import METRICS
-
-        with open(metrics_out, "w") as fh:
-            json.dump(METRICS.snapshot(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        from repro.obs.tracing import TRACER
-
-        TRACER.write(trace_out)

@@ -23,12 +23,14 @@ Every predictor the paper uses or references is implemented here:
   schemes: statically-determined PHTs (Sechrest/Young) and Chang's
   branch-classification hybrid.
 
-:data:`PREDICTOR_REGISTRY` maps the spec names ``repro-tools simulate
---predictor`` accepts to default-constructible factories.
+:data:`PREDICTOR_REGISTRY` maps the spec names ``repro simulate
+--predictor`` accepts to default-constructible factories, and
+:func:`parse_predictor_spec` builds a predictor from one such spec.
 """
 
 from typing import Callable, Dict
 
+from repro.errors import SpecError
 from repro.predictors.base import BranchPredictor, simulate
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.counters import CounterTable, SaturatingCounter
@@ -94,6 +96,50 @@ PREDICTOR_REGISTRY: Dict[str, Callable[..., BranchPredictor]] = {
     "egskew": SkewedPredictor,
 }
 
+
+def parse_predictor_spec(spec: str) -> BranchPredictor:
+    """Instantiate a predictor from ``name[:key=value,...]``.
+
+    Values are parsed as integers (every registry parameter is an int
+    width or size).
+
+    Raises:
+        SpecError: On an unknown predictor name, a malformed
+            ``key=value`` pair, or arguments the predictor's
+            constructor rejects -- always naming the offending spec.
+    """
+    name, _, argument_text = spec.partition(":")
+    try:
+        factory = PREDICTOR_REGISTRY[name]
+    except KeyError:
+        raise SpecError(
+            f"unknown predictor {name!r} in spec {spec!r}; choose "
+            f"from {', '.join(sorted(PREDICTOR_REGISTRY))}"
+        ) from None
+    kwargs = {}
+    if argument_text:
+        for item in argument_text.split(","):
+            key, _, value = item.partition("=")
+            if not value:
+                raise SpecError(
+                    f"malformed predictor argument {item!r} in spec "
+                    f"{spec!r}; expected key=value"
+                )
+            try:
+                kwargs[key.strip()] = int(value)
+            except ValueError:
+                raise SpecError(
+                    f"predictor argument {item!r} in spec {spec!r} "
+                    "is not an integer"
+                ) from None
+    try:
+        return factory(**kwargs)
+    except (TypeError, ValueError) as error:
+        raise SpecError(
+            f"bad arguments for predictor {name!r} in spec "
+            f"{spec!r}: {error}"
+        ) from None
+
 __all__ = [
     "AlwaysNotTakenPredictor",
     "AlwaysTakenPredictor",
@@ -124,5 +170,6 @@ __all__ = [
     "StaticPhtGlobal",
     "StaticPhtPAs",
     "best_fixed_length_correct",
+    "parse_predictor_spec",
     "simulate",
 ]

@@ -16,12 +16,11 @@ loop (the ``repro check`` contract pass and the property tests in
   streams, group by index, and run each counter cell as an independent
   run-length chain.
 
-:data:`KERNEL_BINDINGS` maps every exported kernel to the
-``repro.predictors`` registry spec whose predictor exercises it; the PC010
-audit (:func:`repro.check.contracts.check_kernel_bindings`) fails
-``python -m repro check`` when a kernel is missing from this map, so no
-fast path can ship without the PC009 dynamic equivalence check covering
-it.
+The PC010 audit (:func:`repro.check.contracts.check_kernel_coverage`)
+derives which registry specs reach each exported kernel by running every
+``repro.predictors`` registry entry, and fails ``python -m repro check``
+when an exported kernel is reached by none -- so no fast path can ship
+without the PC009 dynamic equivalence check covering it.
 """
 
 from repro.sim.fold import fold_correct_count, fold_simulate
@@ -39,27 +38,7 @@ from repro.sim.kernels_global import (
     simulate_selective,
 )
 
-#: Kernel name -> ``repro.predictors.PREDICTOR_REGISTRY`` spec whose default
-#: instance routes ``simulate()`` through that kernel.  The contract
-#: pass replays every registry entry (PC009), so a binding here is what
-#: puts a kernel under dynamic bit-identity enforcement; PC010 rejects
-#: exported kernels with no binding and stale bindings alike.  GAg and
-#: PAg ride the gas/pas kernels as zero-select-bit subclasses and are
-#: checked through their own registry entries.
-KERNEL_BINDINGS = {
-    "simulate_bimodal": "bimodal",
-    "simulate_block_pattern": "block",
-    "simulate_fixed_pattern": "fixed",
-    "simulate_gas": "gas",
-    "simulate_gshare": "gshare",
-    "simulate_if_pas": "if-pas",
-    "simulate_loop": "loop",
-    "simulate_pas": "pas",
-    "simulate_selective": "selective",
-}
-
 __all__ = [
-    "KERNEL_BINDINGS",
     "fold_correct_count",
     "fold_simulate",
     "simulate_bimodal",

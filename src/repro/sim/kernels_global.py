@@ -26,8 +26,8 @@ Every kernel is exact: it consumes the predictor's current state, returns
 the bit-identical correctness bitmap of the scalar predict/update loop,
 and writes the final history/BHT/PHT state back so chained ``simulate()``
 calls keep training.  Equivalence is enforced by the PC009 contract check
-over the predictor registry, the PC010 kernel-binding audit
-(:func:`repro.check.contracts.check_kernel_bindings`) and the property
+over the predictor registry, the PC010 kernel-coverage audit
+(:func:`repro.check.contracts.check_kernel_coverage`) and the property
 tests in ``tests/test_sim_kernels_global.py``.
 """
 

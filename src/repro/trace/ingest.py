@@ -301,7 +301,7 @@ def ingest_file(
         raise IngestError(f"{source}: cannot derive a trace name; pass one")
 
     if fmt == "bpt":
-        stream = _open_stream(source)
+        stream = TraceStream.open(source)
         if len(stream) == 0:
             raise IngestError(f"{source}: trace contains no branches")
         return IngestResult(
@@ -333,7 +333,7 @@ def ingest_file(
     if written == 0:
         os.unlink(destination)
         raise IngestError(f"{source}: trace contains no branches")
-    stream = _open_stream(destination)
+    stream = TraceStream.open(destination)
     return IngestResult(
         name=trace_name,
         source_path=str(source),
@@ -342,13 +342,6 @@ def ingest_file(
         branches=written,
         digest=stream.digest(),
     )
-
-
-def _open_stream(path: PathLike) -> TraceStream:
-    try:
-        return TraceStream.open(path)
-    except (OSError, ValueError) as error:
-        raise IngestError(f"{path}: {error}") from None
 
 
 def load_imported_trace(
@@ -369,10 +362,7 @@ def load_imported_trace(
     fmt = format if format not in (None, "bpt2", "bpt1") else None
     fmt = fmt or detect_format(path)
     if fmt == "bpt":
-        try:
-            trace = read_trace(path)
-        except (OSError, ValueError) as error:
-            raise IngestError(f"{path}: {error}") from None
+        trace = read_trace(path)
     else:
         parts = list(_batches(path, fmt))
         if not parts:

@@ -126,13 +126,17 @@ def _map_file(path: PathLike):
 
     numpy views built over the map keep it alive through their ``.base``
     reference, so callers can let the mapping fall out of scope with the
-    arrays.
+    arrays.  A missing or unreadable file (a directory, say) is an
+    :class:`~repro.errors.IngestError` naming the path.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size == 0:
-            return b""
-        return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size == 0:
+                return b""
+            return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    except OSError as error:
+        raise IngestError(f"{path}: cannot read trace file ({error})") from None
 
 
 def read_trace(path: PathLike) -> Trace:
@@ -417,7 +421,9 @@ class TraceStream:
                 f"{source}: chunk_branches {size} is not a positive "
                 "multiple of 8"
             )
-        expected_chunks = len(chunk_spans(n, size)) if n else 0
+        # Ceiling division: a forged header must not make us build the
+        # span list before the index is known to fit in the file.
+        expected_chunks = -(-n // size)
         if num_chunks != expected_chunks:
             raise TraceFormatError(
                 f"{source}: {num_chunks} chunks indexed, "

@@ -7,7 +7,6 @@ import pytest
 
 from repro.check import cli as check_cli
 from repro.cli import main as repro_main
-from repro.tools import main as tools_main
 
 FIXTURES = Path(__file__).parent / "fixtures" / "check_defects"
 
@@ -110,18 +109,15 @@ class TestReproCliDispatch:
     def test_experiment_ids_still_rejected(self, capsys):
         assert repro_main(["not-an-experiment"]) == 2
 
-
-class TestToolsCheckSubcommand:
-    def test_tools_check_runs_lint_pass(self, capsys):
-        assert tools_main(["check", "lint"]) == 0
-        assert "lint:" in capsys.readouterr().out
-
-    def test_tools_check_contracts_pass(self, capsys):
-        assert tools_main(["check", "contracts"]) == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [["lint"], ["contracts"], ["deps", "--format", "json"]],
+        ids=["lint", "contracts", "deps-json"],
+    )
+    def test_check_forwards_passes_and_format(self, capsys, argv):
+        assert repro_main(["check", *argv]) == 0
         out = capsys.readouterr().out
-        assert "contracts:" in out
-
-    def test_tools_check_forwards_new_passes_and_format(self, capsys):
-        assert tools_main(["check", "deps", "--format", "json"]) == 0
-        document = json.loads(capsys.readouterr().out)
-        assert document["passes"] == ["deps"]
+        if "json" in argv:
+            assert json.loads(out)["passes"] == [argv[0]]
+        else:
+            assert f"{argv[0]}:" in out

@@ -8,6 +8,7 @@ from repro.check.contracts import (
     ContractCheckedPredictor,
     ContractViolation,
     check_determinism,
+    check_kernel_coverage,
     check_predictor_classes,
     check_registry,
     iter_predictor_classes,
@@ -191,3 +192,27 @@ class TestContractSuite:
     def test_nondeterministic_factory_yields_pc008(self, trace):
         diagnostics = run_contract_suite(_Nondeterministic, trace)
         assert "PC008" in {diag.code for diag in diagnostics}
+
+
+def simulate_orphan(predictor, trace):
+    """A kernel no registry predictor routes through."""
+    raise AssertionError("no predictor should reach this kernel")
+
+
+class TestKernelCoverage:
+    def test_every_exported_kernel_is_reached(self, trace):
+        assert check_kernel_coverage(trace) == []
+
+    def test_unreached_kernel_is_flagged(self, trace, monkeypatch):
+        import repro.sim as sim
+
+        monkeypatch.setattr(sim, "simulate_orphan", simulate_orphan, raising=False)
+        monkeypatch.setattr(sim, "__all__", [*sim.__all__, "simulate_orphan"])
+        diagnostics = check_kernel_coverage(trace)
+        assert [(d.code, d.location) for d in diagnostics] == [
+            ("PC010", "repro.sim.simulate_orphan")
+        ]
+        # The recorders are gone again: the real kernels are restored.
+        import repro.sim.kernels_global as kernels_global
+
+        assert kernels_global.simulate_gshare is sim.simulate_gshare

@@ -218,11 +218,17 @@ class FlakyPredictor:
 
     def simulate(self, trace):
         self.calls += 1
-        if self.calls == 2 and not os.path.exists(self.flag):
-            open(self.flag, "w").close()
-            if self.mode == "raise":
-                raise RuntimeError("flaky window")
-            time.sleep(30)
+        if self.calls == 2:
+            try:
+                # O_EXCL claims the flag atomically: two workers reaching
+                # their second window together must not both misbehave.
+                os.close(os.open(self.flag, os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                pass
+            else:
+                if self.mode == "raise":
+                    raise RuntimeError("flaky window")
+                time.sleep(30)
         return self.inner.simulate(trace)
 
 

@@ -1,9 +1,10 @@
-"""Tests for the trace toolkit CLI."""
+"""Tests for the trace-file commands: ``repro generate|stats|simulate|interference``."""
 
 import pytest
 
-from repro.predictors import PREDICTOR_REGISTRY
-from repro.tools import main, parse_predictor_spec
+from repro.cli import main
+from repro.errors import SpecError
+from repro.predictors import PREDICTOR_REGISTRY, parse_predictor_spec
 from repro.trace.stream import read_trace
 
 
@@ -17,22 +18,22 @@ class TestParsePredictorSpec:
         assert predictor.name == "gshare-10h-12p"
 
     def test_unknown_name(self):
-        with pytest.raises(SystemExit, match="unknown predictor 'tage' in spec 'tage'"):
+        with pytest.raises(SpecError, match="unknown predictor 'tage' in spec 'tage'"):
             parse_predictor_spec("tage")
 
     def test_malformed_argument(self):
         with pytest.raises(
-            SystemExit, match="malformed predictor argument 'history_bits'"
+            SpecError, match="malformed predictor argument 'history_bits'"
         ):
             parse_predictor_spec("gshare:history_bits")
 
     def test_non_integer_argument(self):
-        with pytest.raises(SystemExit, match="is not an integer"):
+        with pytest.raises(SpecError, match="is not an integer"):
             parse_predictor_spec("gshare:history_bits=ten")
 
     def test_unknown_keyword_argument(self):
         with pytest.raises(
-            SystemExit, match="bad arguments for predictor 'gshare'"
+            SpecError, match="bad arguments for predictor 'gshare'"
         ):
             parse_predictor_spec("gshare:nonsense=3")
 
@@ -81,9 +82,25 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "loop" in out and "bimodal-8b" in out
 
-    def test_simulate_bad_predictor_raises_system_exit(self, trace_file):
-        with pytest.raises(SystemExit, match="unknown predictor 'nope'"):
-            main(["simulate", str(trace_file), "--predictor", "nope"])
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("nope", "unknown predictor 'nope' in spec 'nope'"),
+            ("gshare:history_bits", "malformed predictor argument"),
+            ("gshare:history_bits=ten", "is not an integer"),
+            ("gshare:nonsense=3", "bad arguments for predictor 'gshare'"),
+        ],
+        ids=["unknown", "malformed", "non-integer", "bad-keyword"],
+    )
+    def test_bad_predictor_spec_is_a_usage_error(
+        self, trace_file, capsys, spec, message
+    ):
+        capsys.readouterr()
+        assert main(["simulate", str(trace_file), "--predictor", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        # The spec is rejected before the trace is read.
+        assert captured.out == ""
 
     def test_interference(self, trace_file, capsys):
         assert (
@@ -105,11 +122,3 @@ class TestCommands:
     def test_missing_file_exits_2(self, capsys):
         assert main(["stats", "/nonexistent/file.bpt"]) == 2
 
-
-class TestVersion:
-    def test_version_flag(self, capsys):
-        import re
-
-        assert main(["--version"]) == 0
-        out = capsys.readouterr().out.strip()
-        assert re.fullmatch(r"repro-tools \d+[\w.]*", out)

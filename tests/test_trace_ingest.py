@@ -176,6 +176,15 @@ class TestRejections:
         with pytest.raises(IngestError, match="cannot read"):
             ingest_file(tmp_path / "nope.txt")
 
+    def test_truncated_bpt_names_its_path_once(self, tmp_path):
+        source = tmp_path / "short.bpt"
+        write_trace(make_trace(), source)
+        source.write_bytes(source.read_bytes()[:10])
+        for load in (ingest_file, load_imported_trace):
+            with pytest.raises(IngestError, match="truncated header") as info:
+                load(source)
+            assert str(info.value).count(str(source)) == 1
+
     def test_ingest_error_is_usage_not_traceback(self):
         assert issubclass(IngestError, ReproError)
         assert issubclass(IngestError, ValueError)

@@ -250,10 +250,13 @@ class TestMalformedBPT2:
             TraceStream.open(path)
 
     def test_chunk_count_mismatch_rejected(self, tmp_path):
-        path = self._valid_file(tmp_path)
-        self._patch(path, 24, 7)  # num_chunks field
-        with pytest.raises(TraceFormatError, match="chunks indexed"):
-            TraceStream.open(path)
+        # A forged branch count of 2**40 implies 2**37 chunks; it must be
+        # rejected by header arithmetic, before any span list is built.
+        for offset, value in ((24, 7), (8, 2**40)):  # num_chunks, n
+            path = self._valid_file(tmp_path)
+            self._patch(path, offset, value)
+            with pytest.raises(TraceFormatError, match="chunks indexed"):
+                TraceStream.open(path)
 
     def test_truncated_index_rejected(self, tmp_path):
         path = self._valid_file(tmp_path)
@@ -335,7 +338,7 @@ class TestTextFormat:
             read_text_trace(path)
 
     def test_tools_accept_text_traces(self, tmp_path, capsys):
-        from repro.tools import main
+        from repro.cli import main
 
         path = tmp_path / "g.txt"
         assert main(["generate", "compress", "-o", str(path), "--length", "500"]) == 0
@@ -354,7 +357,7 @@ class TestTextFormat:
     def test_bad_input_is_a_located_ingest_error(
         self, tmp_path, capsys, content, match
     ):
-        from repro.tools import main
+        from repro.cli import main
         from repro.trace.stream import read_text_trace
 
         path = tmp_path / "bad.txt"
@@ -366,15 +369,23 @@ class TestTextFormat:
         assert f"{path}:2:" in capsys.readouterr().err
 
     def test_missing_file_is_an_ingest_error(self, tmp_path, capsys):
-        from repro.tools import main
+        from repro.cli import main
         from repro.trace.stream import read_text_trace
 
-        path = tmp_path / "absent.txt"
-        with pytest.raises(IngestError, match="cannot read trace file") as info:
-            read_text_trace(path)
-        assert str(path) in str(info.value)
-        assert main(["stats", str(path)]) == 2
-        assert f"{path}: cannot read trace file" in capsys.readouterr().err
+        directory = tmp_path / "dir.bpt"
+        directory.mkdir()
+        for path, reader in (
+            (tmp_path / "absent.txt", read_text_trace),
+            (tmp_path / "absent.bpt", read_trace),
+            (directory, read_trace),
+        ):
+            with pytest.raises(
+                IngestError, match="cannot read trace file"
+            ) as info:
+                reader(path)
+            assert str(path) in str(info.value)
+            assert main(["stats", str(path)]) == 2
+            assert f"{path}: cannot read trace file" in capsys.readouterr().err
 
 
 class TestLargeRoundTrips:
